@@ -42,7 +42,9 @@
 #      certificates exactly), the proptest algebra gate over random
 #      stage compositions, and the certified matrix (what each matcher
 #      class — complete / restriction-monotone / global-budget — can
-#      promise under fixed budgets).
+#      promise under fixed budgets); plus the roster golden-answer suite
+#      (every search matcher's mappings, score bits and interning order
+#      pinned to recorded digests over seeded scenarios).
 #  11. observability suites, likewise named: the trace-identity gate
 #      (tracing on/off changes no matcher's answers bitwise — clean
 #      runs, fault storms, and the JSON-lines sink), the metrics
@@ -142,8 +144,9 @@ named_suites -p smx-persist --test crash_matrix --test chaos --test spill_compac
 echo "== [9/13] certified candidate-tier suites (differential, bound admissibility)"
 named_suites -p smx-match --test candidate_differential --test bound_admissibility
 
-echo "== [10/13] pipeline-algebra suites (differential, algebra, certified matrix)"
+echo "== [10/13] pipeline-algebra suites (differential, algebra, certified matrix, roster golden)"
 named_suites -p smx-match --test pipeline_differential --test pipeline_algebra --test certified_matrix
+named_suites -p smx-match --test roster_golden
 
 echo "== [11/13] observability suites (trace identity, metrics properties, counter consistency)"
 named_suites -p smx-persist --test trace_identity
