@@ -38,8 +38,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smx::matching::{
     BatchMatcher, BatchProblem, BeamMatcher, CandidateGenerator, CertifiedMatcher, ClusterMatcher,
-    ExhaustiveMatcher, MappingRegistry, MatchProblem, Matcher, ObjectiveFunction,
-    ParallelExhaustiveMatcher, Pipeline, TopKMatcher,
+    ExhaustiveMatcher, MappingRegistry, MatchProblem, Matcher, ObjectiveFunction, Pipeline,
+    TopKMatcher,
 };
 use smx::persist::{RecoveryPolicy, Snapshot};
 use smx::repo::Repository;
@@ -98,13 +98,6 @@ fn bench_matchers(c: &mut Criterion) {
             Box::new(ExhaustiveMatcher::direct(ObjectiveFunction::default())),
         ),
         ("s1_exhaustive", Box::new(ExhaustiveMatcher::default())),
-        (
-            "s1_parallel",
-            Box::new(ParallelExhaustiveMatcher::new(
-                ObjectiveFunction::default(),
-                4,
-            )),
-        ),
         (
             "s2_beam32",
             Box::new(BeamMatcher::new(ObjectiveFunction::default(), 32)),

@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use smx::text::{
     jaro_winkler, levenshtein_similarity, monge_elkan, trigram_similarity, NameSimilarity,
-    SimilarityCache,
 };
 use std::hint::black_box;
 
@@ -51,23 +50,5 @@ fn bench_combined(c: &mut Criterion) {
     });
 }
 
-fn bench_cache(c: &mut Criterion) {
-    let sim = NameSimilarity::default();
-    let cache = SimilarityCache::new(move |a: &str, b: &str| sim.similarity(a, b));
-    // Warm.
-    for (x, y) in PAIRS {
-        cache.similarity(x, y);
-    }
-    c.bench_function("name_similarity_cached_hit", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for (x, y) in PAIRS {
-                acc += cache.similarity(black_box(x), black_box(y));
-            }
-            black_box(acc)
-        })
-    });
-}
-
-criterion_group!(benches, bench_kernels, bench_combined, bench_cache);
+criterion_group!(benches, bench_kernels, bench_combined);
 criterion_main!(benches);

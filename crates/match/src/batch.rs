@@ -17,8 +17,10 @@
 //!   pass per repository label column), optionally chunked across
 //!   scoped worker threads, instead of one pass per query label.
 //! * [`BatchMatcher`] — dispatches every problem in the batch to any
-//!   inner [`Matcher`] (exhaustive, parallel, beam, cluster, top-k,
-//!   brute-force), sequentially or across `std::thread::scope` workers.
+//!   inner [`Matcher`] (exhaustive, beam, cluster, top-k, brute-force,
+//!   or a composed pipeline), sequentially or across
+//!   `std::thread::scope` workers — the crate's one parallel path.
+//!   Problems, not schemas, are the unit of work.
 //!
 //! # Identity contract
 //!
@@ -29,7 +31,7 @@
 //! scores and, under sequential dispatch with a shared registry, even
 //! answer ids — to running each problem alone through the same
 //! matcher. `tests/batch_identity.rs` gates this differentially across
-//! all six matchers. Threaded dispatch can intern mappings in a
+//! the whole roster. Threaded dispatch can intern mappings in a
 //! different order, so only ids may differ there; resolved mappings
 //! and scores still match bitwise.
 //!

@@ -7,13 +7,19 @@
 //! costs of good mappings stay at the front of the beam — while expensive
 //! answers are lost with increasing probability: the **smoothly declining
 //! answer-size-ratio curve** of Figure 10's S2-one.
+//!
+//! The frontier is the shared search kernel's beam policy: partials are
+//! parent-pointer records, each level keeps its `width` cheapest by
+//! partial selection, and a partial whose cost already exceeds the
+//! δ_max budget is dropped (it could only take a slot no partial within
+//! budget wanted, so the answers do not change).
 
-use crate::mapping::{Mapping, MappingRegistry};
+use crate::mapping::MappingRegistry;
 use crate::matcher::Matcher;
 use crate::objective::ObjectiveFunction;
 use crate::problem::MatchProblem;
-use smx_eval::{AnswerId, AnswerSet};
-use smx_xml::NodeId;
+use crate::search::{Policy, Search};
+use smx_eval::AnswerSet;
 
 /// Beam-search matcher with a fixed beam width per schema.
 #[derive(Debug, Clone)]
@@ -37,83 +43,17 @@ impl BeamMatcher {
     }
 }
 
-impl BeamMatcher {
-    /// Lift into a terminal [`pipeline`](crate::pipeline) refine stage.
-    /// To use the beam as an *intermediate* filter instead — keep only
-    /// schemas where the beam finds an answer, then refine those
-    /// exhaustively — compose a
-    /// [`BeamFilter`](crate::pipeline::BeamFilter) stage, which charges
-    /// the certificate for the schemas it drops.
-    pub fn into_refine_stage(self) -> crate::pipeline::RefineStage<Self> {
-        crate::pipeline::RefineStage::new(self)
-    }
-}
-
 impl Matcher for BeamMatcher {
     fn name(&self) -> &str {
         "S2-beam"
     }
 
     fn run(&self, problem: &MatchProblem, delta_max: f64, registry: &MappingRegistry) -> AnswerSet {
-        let k = problem.personal_size();
-        let personal = problem.personal();
         let matrix = problem.cost_matrix(&self.objective);
-        let mut found: Vec<(AnswerId, f64)> = Vec::new();
-        for (sid, schema) in problem.repository().iter() {
-            let n = schema.len();
-            if n < k || !problem.is_active(sid) {
-                continue;
-            }
-            let table = matrix.table(sid);
-            // Beam of partial assignments: (partial cost, chosen indices).
-            let mut beam: Vec<(f64, Vec<usize>)> = vec![(0.0, Vec::new())];
-            for level in 0..k {
-                let pid = problem.personal_order()[level];
-                let parent = personal.node(pid).parent;
-                let row = table.row(level);
-                let mut next: Vec<(f64, Vec<usize>)> = Vec::new();
-                for (partial, chosen) in &beam {
-                    for (cand, &node_cost) in row.iter().enumerate() {
-                        if chosen.contains(&cand) {
-                            continue; // injectivity
-                        }
-                        let mut step = node_cost;
-                        if let Some(p) = parent {
-                            let parent_target = NodeId(chosen[p.index()] as u32);
-                            step += self.objective.config().structure_weight
-                                * self.objective.edge_penalty(
-                                    schema,
-                                    parent_target,
-                                    NodeId(cand as u32),
-                                );
-                        }
-                        let mut extended = chosen.clone();
-                        extended.push(cand);
-                        next.push((partial + step, extended));
-                    }
-                }
-                next.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
-                next.truncate(self.width);
-                beam = next;
-                if beam.is_empty() {
-                    break;
-                }
-            }
-            for (_, chosen) in beam {
-                if chosen.len() != k {
-                    continue;
-                }
-                let assignment: Vec<NodeId> = chosen.iter().map(|&i| NodeId(i as u32)).collect();
-                // Shared scoring path ⇒ identical Δ as S1 for this mapping.
-                let score = matrix.mapping_cost(problem, sid, &assignment);
-                if score <= delta_max {
-                    let id = registry.intern(Mapping {
-                        schema: sid,
-                        targets: assignment,
-                    });
-                    found.push((id, score));
-                }
-            }
+        let search = Search::new(problem, &self.objective, Some(&matrix), delta_max, registry);
+        let mut found = Vec::new();
+        for sid in problem.active_schema_ids() {
+            search.schema(sid, Policy::Beam(self.width), &mut found);
         }
         AnswerSet::new(found).expect("finite costs, unique interned ids")
     }

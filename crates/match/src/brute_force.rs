@@ -39,20 +39,6 @@ impl BruteForceMatcher {
             mode: ScoringMode::Direct,
         }
     }
-
-    /// The scoring mode.
-    pub fn mode(&self) -> ScoringMode {
-        self.mode
-    }
-}
-
-impl BruteForceMatcher {
-    /// Lift into a terminal [`pipeline`](crate::pipeline) refine stage
-    /// (mostly useful to differential-test pipelines against the
-    /// no-pruning reference).
-    pub fn into_refine_stage(self) -> crate::pipeline::RefineStage<Self> {
-        crate::pipeline::RefineStage::new(self)
-    }
 }
 
 impl Matcher for BruteForceMatcher {

@@ -8,14 +8,17 @@
 //! where the speed-up comes from — and why whole *score bands* of answers
 //! disappear at once: the **step-shaped ratio curve** of Figure 10's
 //! S2-two.
+//!
+//! Within a fragment the shared search kernel walks depth-first over the
+//! cover's nodes in ascending order, pruning with S1's admissible bound.
 
-use crate::mapping::{Mapping, MappingRegistry};
+use crate::mapping::MappingRegistry;
 use crate::matcher::Matcher;
 use crate::objective::ObjectiveFunction;
 use crate::problem::MatchProblem;
-use smx_eval::{AnswerId, AnswerSet};
+use crate::search::{Policy, Search};
+use smx_eval::AnswerSet;
 use smx_repo::{fragments_for_clusters, greedy_clustering, query_features, Fragment};
-use smx_xml::NodeId;
 
 /// Cluster-restricted matcher.
 #[derive(Debug, Clone)]
@@ -44,15 +47,6 @@ impl ClusterMatcher {
     }
 }
 
-impl ClusterMatcher {
-    /// Lift into a terminal [`pipeline`](crate::pipeline) refine stage.
-    /// Cluster ranking stays global (it reads the whole repository);
-    /// the upstream filters only decide which fragments may answer.
-    pub fn into_refine_stage(self) -> crate::pipeline::RefineStage<Self> {
-        crate::pipeline::RefineStage::new(self)
-    }
-}
-
 impl Matcher for ClusterMatcher {
     fn name(&self) -> &str {
         "S2-cluster"
@@ -76,67 +70,14 @@ impl Matcher for ClusterMatcher {
             .collect();
         let fragments: Vec<Fragment> = fragments_for_clusters(repo, &clustering, &selected);
 
-        // 2. Exhaustively search each fragment's schema with targets
-        //    restricted to the fragment cover. Scores come from the
-        //    problem's precomputed cost matrix (fragment covers are plain
-        //    index subsets of it).
-        let k = problem.personal_size();
+        // 2. Search each fragment's schema with targets restricted to
+        //    the fragment cover, bounded like S1.
         let matrix = problem.cost_matrix(&self.objective);
-        let mut found: Vec<(AnswerId, f64)> = Vec::new();
+        let search = Search::new(problem, &self.objective, Some(&matrix), delta_max, registry);
+        let mut found = Vec::new();
         for fragment in &fragments {
-            if !problem.is_active(fragment.schema) {
-                continue;
-            }
-            let nodes: Vec<NodeId> = fragment.cover.iter().copied().collect();
-            if nodes.len() < k {
-                continue;
-            }
-            let mut chosen: Vec<usize> = Vec::with_capacity(k);
-            search(
-                problem,
-                &matrix,
-                fragment,
-                &nodes,
-                delta_max,
-                registry,
-                &mut chosen,
-                &mut found,
-            );
-
-            #[allow(clippy::too_many_arguments)]
-            fn search(
-                problem: &MatchProblem,
-                matrix: &crate::cost_matrix::CostMatrix,
-                fragment: &Fragment,
-                nodes: &[NodeId],
-                delta_max: f64,
-                registry: &MappingRegistry,
-                chosen: &mut Vec<usize>,
-                found: &mut Vec<(AnswerId, f64)>,
-            ) {
-                let k = problem.personal_size();
-                if chosen.len() == k {
-                    let assignment: Vec<NodeId> = chosen.iter().map(|&i| nodes[i]).collect();
-                    let score = matrix.mapping_cost(problem, fragment.schema, &assignment);
-                    if score <= delta_max {
-                        let id = registry.intern(Mapping {
-                            schema: fragment.schema,
-                            targets: assignment,
-                        });
-                        found.push((id, score));
-                    }
-                    return;
-                }
-                for cand in 0..nodes.len() {
-                    if chosen.contains(&cand) {
-                        continue;
-                    }
-                    chosen.push(cand);
-                    search(
-                        problem, matrix, fragment, nodes, delta_max, registry, chosen, found,
-                    );
-                    chosen.pop();
-                }
+            if problem.is_active(fragment.schema) {
+                search.schema(fragment.schema, Policy::Within(&fragment.cover), &mut found);
             }
         }
         AnswerSet::new(found).expect("finite costs, unique interned ids")

@@ -8,25 +8,25 @@
 //! therefore every mapping with Δ ≤ δ_max is found, which is what
 //! "exhaustive for threshold δ" means in the paper (§2.1).
 //!
-//! Node costs and bounds come from the problem's precomputed
-//! [`CostMatrix`] (see [`crate::cost_matrix`]); the
+//! The walk is the shared search kernel's depth-first policy with the
+//! fixed budget δ_max. Node costs and bounds come from the problem's
+//! precomputed [`CostMatrix`](crate::CostMatrix); the
 //! [`ExhaustiveMatcher::direct`] constructor keeps the old
 //! recompute-per-run evaluation as a benchmark baseline and score-identity
 //! reference.
 
-use crate::cost_matrix::{CostMatrix, SchemaTable};
-use crate::mapping::{Mapping, MappingRegistry};
+use crate::mapping::MappingRegistry;
 use crate::matcher::Matcher;
 use crate::objective::ObjectiveFunction;
 use crate::problem::MatchProblem;
-use smx_eval::{AnswerId, AnswerSet};
-use smx_repo::SchemaId;
-use smx_xml::NodeId;
+use crate::search::{Policy, Search};
+use smx_eval::AnswerSet;
 
 /// How a matcher obtains node costs and final mapping scores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScoringMode {
-    /// Read from the problem's cached [`CostMatrix`] (the fast default).
+    /// Read from the problem's cached [`CostMatrix`](crate::CostMatrix)
+    /// (the fast default).
     #[default]
     Precomputed,
     /// Recompute string similarity per run — the pre-engine behaviour,
@@ -58,149 +58,6 @@ impl ExhaustiveMatcher {
             mode: ScoringMode::Direct,
         }
     }
-
-    /// The scoring mode.
-    pub fn mode(&self) -> ScoringMode {
-        self.mode
-    }
-
-    /// Search one repository schema, appending `(id, score)` pairs.
-    /// Exposed crate-internally so the parallel matcher can reuse it.
-    pub(crate) fn search_schema(
-        &self,
-        problem: &MatchProblem,
-        sid: SchemaId,
-        matrix: Option<&CostMatrix>,
-        delta_max: f64,
-        registry: &MappingRegistry,
-        found: &mut Vec<(AnswerId, f64)>,
-    ) {
-        let k = problem.personal_size();
-        let schema = problem.repository().schema(sid);
-        if schema.len() < k {
-            return;
-        }
-        // Matrix mode: indexed loads from the shared engine. Direct mode:
-        // a fresh per-run table through the raw string path.
-        let direct_table;
-        let table: &SchemaTable = match matrix {
-            Some(m) => m.table(sid),
-            None => {
-                direct_table = SchemaTable::compute_direct(problem, schema, &self.objective);
-                &direct_table
-            }
-        };
-        let denom =
-            k as f64 + problem.personal_edges() as f64 * self.objective.config().structure_weight;
-        let budget = delta_max * denom + 1e-12; // un-normalised cost budget
-        let structure_weight = self.objective.config().structure_weight;
-
-        let mut targets: Vec<usize> = vec![usize::MAX; k];
-        let mut used = vec![false; schema.len()];
-
-        struct Ctx<'a> {
-            problem: &'a MatchProblem,
-            objective: &'a ObjectiveFunction,
-            matrix: Option<&'a CostMatrix>,
-            schema: &'a smx_xml::Schema,
-            sid: SchemaId,
-            table: &'a SchemaTable,
-            budget: f64,
-            delta_max: f64,
-            structure_weight: f64,
-            registry: &'a MappingRegistry,
-        }
-
-        fn dfs(
-            ctx: &Ctx<'_>,
-            level: usize,
-            partial: f64,
-            targets: &mut Vec<usize>,
-            used: &mut Vec<bool>,
-            found: &mut Vec<(AnswerId, f64)>,
-        ) {
-            let k = targets.len();
-            if level == k {
-                let assignment: Vec<NodeId> = targets.iter().map(|&i| NodeId(i as u32)).collect();
-                // Re-score through the shared code path so every matcher
-                // reports bitwise-identical Δ for the same mapping (the
-                // accumulated `partial` has a different summation order).
-                let score = match ctx.matrix {
-                    Some(m) => m.mapping_cost(ctx.problem, ctx.sid, &assignment),
-                    None => ctx
-                        .objective
-                        .mapping_cost(ctx.problem, ctx.sid, &assignment),
-                };
-                if score <= ctx.delta_max {
-                    let id = ctx.registry.intern(Mapping {
-                        schema: ctx.sid,
-                        targets: assignment,
-                    });
-                    found.push((id, score));
-                }
-                return;
-            }
-            let pid = ctx.problem.personal_order()[level];
-            let parent = ctx.problem.personal().node(pid).parent;
-            let suffix = ctx.table.suffix_min()[level + 1];
-            let row = ctx.table.row(level);
-            for (cand, &node_cost) in row.iter().enumerate() {
-                if used[cand] {
-                    continue;
-                }
-                let mut step = node_cost;
-                if let Some(p) = parent {
-                    let parent_target = NodeId(targets[p.index()] as u32);
-                    step += ctx.structure_weight
-                        * ctx.objective.edge_penalty(
-                            ctx.schema,
-                            parent_target,
-                            NodeId(cand as u32),
-                        );
-                }
-                let lower_bound = partial + step + suffix;
-                if lower_bound > ctx.budget {
-                    continue; // admissible prune: no completion can reach δ_max
-                }
-                targets[level] = cand;
-                used[cand] = true;
-                dfs(ctx, level + 1, partial + step, targets, used, found);
-                used[cand] = false;
-                targets[level] = usize::MAX;
-            }
-        }
-
-        let ctx = Ctx {
-            problem,
-            objective: &self.objective,
-            matrix,
-            schema,
-            sid,
-            table,
-            budget,
-            delta_max,
-            structure_weight,
-            registry,
-        };
-        dfs(&ctx, 0, 0.0, &mut targets, &mut used, found);
-    }
-
-    /// The matrix to search with (`None` in direct mode).
-    pub(crate) fn engine(&self, problem: &MatchProblem) -> Option<std::sync::Arc<CostMatrix>> {
-        match self.mode {
-            ScoringMode::Precomputed => Some(problem.cost_matrix(&self.objective)),
-            ScoringMode::Direct => None,
-        }
-    }
-}
-
-impl ExhaustiveMatcher {
-    /// Lift S1 into a terminal [`pipeline`](crate::pipeline) refine
-    /// stage — the usual "exhaustive on the survivors" tail of a
-    /// filter→refine process.
-    pub fn into_refine_stage(self) -> crate::pipeline::RefineStage<Self> {
-        crate::pipeline::RefineStage::new(self)
-    }
 }
 
 impl Matcher for ExhaustiveMatcher {
@@ -209,17 +66,20 @@ impl Matcher for ExhaustiveMatcher {
     }
 
     fn run(&self, problem: &MatchProblem, delta_max: f64, registry: &MappingRegistry) -> AnswerSet {
-        let matrix = self.engine(problem);
+        let matrix = match self.mode {
+            ScoringMode::Precomputed => Some(problem.cost_matrix(&self.objective)),
+            ScoringMode::Direct => None,
+        };
+        let search = Search::new(
+            problem,
+            &self.objective,
+            matrix.as_deref(),
+            delta_max,
+            registry,
+        );
         let mut found = Vec::new();
         for sid in problem.active_schema_ids() {
-            self.search_schema(
-                problem,
-                sid,
-                matrix.as_deref(),
-                delta_max,
-                registry,
-                &mut found,
-            );
+            search.schema(sid, Policy::DepthFirst, &mut found);
         }
         AnswerSet::new(found).expect("finite costs, unique interned ids")
     }
@@ -229,9 +89,10 @@ impl Matcher for ExhaustiveMatcher {
 mod tests {
     use super::*;
     use crate::brute_force::BruteForceMatcher;
-    use smx_repo::Repository;
+    use crate::mapping::Mapping;
+    use smx_repo::{Repository, SchemaId};
     use smx_synth::{Scenario, ScenarioConfig};
-    use smx_xml::{PrimitiveType, SchemaBuilder};
+    use smx_xml::{NodeId, PrimitiveType, SchemaBuilder};
 
     fn small_problem() -> MatchProblem {
         let personal = SchemaBuilder::new("p")

@@ -15,7 +15,7 @@
 //! * [`exhaustive`] — S1: branch-and-bound enumeration, provably complete
 //!   for every threshold δ ≤ δ_max (the admissible bound only prunes
 //!   branches that cannot reach δ_max); [`brute_force`] is the
-//!   no-pruning reference it is tested against;
+//!   no-pruning reference it is tested against, with its own enumerator;
 //! * [`beam`] — S2-one style: per-schema beam search; loses answers
 //!   smoothly as δ grows (compare Figure 10's S2-one);
 //! * [`cluster_search`] — S2-two style (\[16\] in the paper): match only
@@ -24,8 +24,10 @@
 //! * [`topk`] — \[17\]-style early termination: exactly the top-k answers;
 //! * [`sampler`] — the per-increment random selector of §3.4, used to
 //!   validate Equations (9)–(10) empirically;
-//! * [`parallel`] — scoped-thread work-stealing version of S1 (identical
-//!   output, faster wall-clock);
+//! * one crate-private search kernel enumerates assignments for S1,
+//!   top-k, beam and cluster alike — each matcher is a configuration of
+//!   it (frontier policy, budget, allowed targets), and
+//!   `tests/roster_golden.rs` pins their answers bit for bit;
 //! * [`batch`] — the bulk serving path: N personal schemas against one
 //!   repository, distinct labels deduped across the batch and swept in
 //!   one pass over the stored label profiles, then any matcher above
@@ -102,8 +104,7 @@
 //! and their suffix sums (the admissible branch-and-bound bounds) are
 //! then plain `Vec<f64>` lookups. The engine lives behind a `OnceLock`
 //! in the problem, so post-initialisation reads are lock-free and
-//! allocation-free — safe to share across the parallel matcher's
-//! workers.
+//! allocation-free — safe to share across [`BatchMatcher`]'s workers.
 //!
 //! **Score-identity invariant.** The bounds methodology requires S1 and
 //! every S2 to share Δ *exactly*. The store's rows are bitwise identical
@@ -134,10 +135,10 @@ pub mod exhaustive;
 pub mod mapping;
 pub mod matcher;
 pub mod objective;
-pub mod parallel;
 pub mod pipeline;
 pub mod problem;
 pub mod sampler;
+mod search;
 pub mod space;
 pub mod test_support;
 pub mod topk;
@@ -154,7 +155,6 @@ pub use exhaustive::{ExhaustiveMatcher, ScoringMode};
 pub use mapping::{Mapping, MappingRegistry};
 pub use matcher::Matcher;
 pub use objective::{ObjectiveConfig, ObjectiveFunction};
-pub use parallel::ParallelExhaustiveMatcher;
 pub use pipeline::{
     BeamFilter, CandidateFilter, Pipeline, PipelineAnswer, PipelineBuilder, PipelineCertificate,
     PredicateId, RefineStage, SizeFilter, Stage, StageContext, StageKind, StageOutput, StageReport,

@@ -8,38 +8,33 @@
 //! so the answer-size ratio is 1 up to the k-th score and 0 beyond — the
 //! sharpest possible ratio cliff.
 
-use crate::mapping::{Mapping, MappingRegistry};
+use crate::mapping::MappingRegistry;
 use crate::matcher::Matcher;
 use crate::objective::ObjectiveFunction;
 use crate::problem::MatchProblem;
+use crate::search::{Policy, Search, Sink};
 use smx_eval::{AnswerId, AnswerSet};
-use smx_xml::NodeId;
-use std::collections::BinaryHeap;
 
-/// Max-heap entry so the worst of the current top-k sits on top.
-#[derive(PartialEq)]
-struct Held {
-    score: f64,
-    id: AnswerId,
+/// The best `k` answers so far, ascending by (score, id) — `AnswerSet`'s
+/// ranking, so the largest id loses a score tie. Once full, the search
+/// prunes against the worst of them instead of δ_max.
+struct TopK {
+    k: usize,
+    best: Vec<(f64, AnswerId)>,
 }
 
-impl Eq for Held {}
-
-impl PartialOrd for Held {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl Sink for TopK {
+    fn bound(&self, delta_max: f64) -> f64 {
+        match self.best.last() {
+            Some(&(worst, _)) if self.best.len() >= self.k => worst.min(delta_max),
+            _ => delta_max,
+        }
     }
-}
 
-impl Ord for Held {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Higher score = worse = greater; ties by id ascending so the
-        // *larger* id is evicted first, matching AnswerSet's (score, id)
-        // ranking.
-        self.score
-            .partial_cmp(&other.score)
-            .expect("finite scores")
-            .then(self.id.cmp(&other.id))
+    fn accept(&mut self, id: AnswerId, score: f64) {
+        let at = self.best.partition_point(|&held| held < (score, id));
+        self.best.insert(at, (score, id));
+        self.best.truncate(self.k);
     }
 }
 
@@ -65,123 +60,22 @@ impl TopKMatcher {
     }
 }
 
-impl TopKMatcher {
-    /// Lift into a terminal [`pipeline`](crate::pipeline) refine stage.
-    /// Note the dynamic budget stays *global* across the surviving
-    /// schemas, so upstream pruning can promote deeper-ranked answers
-    /// into the top k — see the certified-matrix suite for what the
-    /// certificate does and does not claim here.
-    pub fn into_refine_stage(self) -> crate::pipeline::RefineStage<Self> {
-        crate::pipeline::RefineStage::new(self)
-    }
-}
-
 impl Matcher for TopKMatcher {
     fn name(&self) -> &str {
         "S2-topk"
     }
 
     fn run(&self, problem: &MatchProblem, delta_max: f64, registry: &MappingRegistry) -> AnswerSet {
-        let k = problem.personal_size();
         let matrix = problem.cost_matrix(&self.objective);
-        let mut heap: BinaryHeap<Held> = BinaryHeap::new();
-        for (sid, schema) in problem.repository().iter() {
-            if schema.len() < k || !problem.is_active(sid) {
-                continue;
-            }
-            let table = matrix.table(sid);
-            let mut chosen: Vec<usize> = Vec::with_capacity(k);
-
-            #[allow(clippy::too_many_arguments)]
-            fn dfs(
-                m: &TopKMatcher,
-                problem: &MatchProblem,
-                sid: smx_repo::SchemaId,
-                schema: &smx_xml::Schema,
-                matrix: &crate::cost_matrix::CostMatrix,
-                table: &crate::cost_matrix::SchemaTable,
-                delta_max: f64,
-                registry: &MappingRegistry,
-                partial: f64,
-                chosen: &mut Vec<usize>,
-                heap: &mut BinaryHeap<Held>,
-            ) {
-                let k = problem.personal_size();
-                // Dynamic budget: δ_max, or the current k-th best score once
-                // the heap is full.
-                let dynamic = if heap.len() >= m.k {
-                    heap.peek().expect("non-empty").score.min(delta_max)
-                } else {
-                    delta_max
-                };
-                let budget = dynamic * matrix.denom() + 1e-12;
-                if chosen.len() == k {
-                    let assignment: Vec<NodeId> =
-                        chosen.iter().map(|&i| NodeId(i as u32)).collect();
-                    let score = matrix.mapping_cost(problem, sid, &assignment);
-                    if score <= delta_max {
-                        let id = registry.intern(Mapping {
-                            schema: sid,
-                            targets: assignment,
-                        });
-                        heap.push(Held { score, id });
-                        if heap.len() > m.k {
-                            heap.pop();
-                        }
-                    }
-                    return;
-                }
-                let level = chosen.len();
-                let pid = problem.personal_order()[level];
-                let parent = problem.personal().node(pid).parent;
-                let suffix = table.suffix_min()[level + 1];
-                let row = table.row(level);
-                for (cand, &node_cost) in row.iter().enumerate() {
-                    if chosen.contains(&cand) {
-                        continue;
-                    }
-                    let mut step = node_cost;
-                    if let Some(p) = parent {
-                        let parent_target = NodeId(chosen[p.index()] as u32);
-                        step += m.objective.config().structure_weight
-                            * m.objective
-                                .edge_penalty(schema, parent_target, NodeId(cand as u32));
-                    }
-                    if partial + step + suffix > budget {
-                        continue;
-                    }
-                    chosen.push(cand);
-                    dfs(
-                        m,
-                        problem,
-                        sid,
-                        schema,
-                        matrix,
-                        table,
-                        delta_max,
-                        registry,
-                        partial + step,
-                        chosen,
-                        heap,
-                    );
-                    chosen.pop();
-                }
-            }
-            dfs(
-                self,
-                problem,
-                sid,
-                schema,
-                &matrix,
-                table,
-                delta_max,
-                registry,
-                0.0,
-                &mut chosen,
-                &mut heap,
-            );
+        let search = Search::new(problem, &self.objective, Some(&matrix), delta_max, registry);
+        let mut top = TopK {
+            k: self.k,
+            best: Vec::new(),
+        };
+        for sid in problem.active_schema_ids() {
+            search.schema(sid, Policy::DepthFirst, &mut top);
         }
-        AnswerSet::new(heap.into_iter().map(|h| (h.id, h.score)))
+        AnswerSet::new(top.best.into_iter().map(|(score, id)| (id, score)))
             .expect("finite costs, unique interned ids")
     }
 }

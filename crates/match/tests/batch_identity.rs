@@ -6,7 +6,7 @@
 //! The matcher roster and the canonical/bitwise helpers come from
 //! [`smx_match::test_support`], shared with the candidate-differential
 //! and persistence-chaos suites — so the composed pipeline system is
-//! exercised here exactly like the six monolithic matchers.
+//! exercised here exactly like the five monolithic matchers.
 
 use smx_eval::AnswerSet;
 use smx_match::test_support::{all_matchers, canonical_answers, run_matcher};
@@ -61,9 +61,7 @@ fn sequential_oracle<M: Matcher>(
 fn sequential_batch_is_bitwise_identical_for_all_matchers() {
     let (personals, repository) = workload(&[11, 22, 33, 44]);
     for (name, matcher) in all_matchers() {
-        // One shared registry, so ids are comparable across runs (the
-        // parallel matcher interns in scheduler order, so only a shared
-        // registry pins its ids).
+        // One shared registry, so ids are comparable across runs.
         let registry = MappingRegistry::new();
         let expected = sequential_oracle(&matcher, &personals, &repository, &registry);
         let batch = BatchProblem::new(personals.clone(), repository.clone())

@@ -2,7 +2,7 @@
 //! every matching system in the shared roster, asserting exactly what
 //! each class of inner matcher can promise.
 //!
-//! * **Complete** inner matchers (exhaustive, parallel, brute-force)
+//! * **Complete** inner matchers (exhaustive, brute-force)
 //!   find everything the restriction leaves reachable, so the
 //!   certificate bounds recall against the *exhaustive oracle*.
 //! * **Restriction-monotone heuristics** (beam, cluster, and the

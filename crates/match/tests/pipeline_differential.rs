@@ -43,13 +43,6 @@ fn decompositions() -> Vec<(&'static str, Box<dyn Matcher + Sync>, Pipeline)> {
                 .refine(ExhaustiveMatcher::new(objective())),
         ),
         (
-            "parallel",
-            Box::new(ParallelExhaustiveMatcher::new(objective(), 3)),
-            Pipeline::builder(objective())
-                .candidate_filter()
-                .refine(ParallelExhaustiveMatcher::new(objective(), 3)),
-        ),
-        (
             "brute-force",
             Box::new(BruteForceMatcher::new(objective())),
             Pipeline::builder(objective())
@@ -187,7 +180,7 @@ fn normalize_preserves_answers_and_certificates_exactly() {
                 .truncate(7)
                 .truncate(3)
                 .candidate_filter()
-                .refine(ParallelExhaustiveMatcher::new(objective(), 2)),
+                .refine(ExhaustiveMatcher::new(objective())),
         ),
     ];
     for (seed, domain) in [(64, Domain::Publications), (65, Domain::HumanResources)] {

@@ -4,7 +4,7 @@
 //! pair evaluation. The store's work counters make both claims testable —
 //! always read through the consistent [`StoreCounters`] snapshot
 //! (`store.counters()`), never through individual relaxed atomic loads,
-//! so these assertions cannot flake under parallel matchers.
+//! so these assertions cannot flake under concurrent sweeps.
 
 use smx_match::{ExhaustiveMatcher, MappingRegistry, MatchProblem, Matcher, ObjectiveFunction};
 use smx_synth::{Scenario, ScenarioConfig};

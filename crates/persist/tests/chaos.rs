@@ -1,7 +1,7 @@
 //! The chaos gate: under *any* deterministic fault plan injected into
 //! the persistence seam — failed writes, torn writes, bit flips,
-//! full crashes — the system must degrade, never diverge. Every one of
-//! the six matching systems must return answers **bitwise identical**
+//! full crashes — the system must degrade, never diverge. Every
+//! matching system in the roster must return answers **bitwise identical**
 //! to a fault-free oracle run, no operation may panic, and the damage
 //! must be visible through `LabelStore::health`, not silently absorbed.
 //!
@@ -11,7 +11,7 @@
 //! contract). The proptest drives randomized fault plans against
 //! randomized query interleavings; the deterministic battery pins the
 //! interesting plans (crash-at-op, torn record, flipped bit) against
-//! all six matchers; the salvage storm flips bits in every snapshot
+//! every roster matcher; the salvage storm flips bits in every snapshot
 //! section and checks the Salvage policy reports the damage precisely
 //! while still answering identically.
 
@@ -223,7 +223,7 @@ fn salvage_storm_reports_each_damaged_section_and_answers_identically() {
         assert!(!salvaged.store().health().is_healthy());
 
         // And the degraded repository still answers bitwise identically
-        // across all six matchers — salvage costs recompute, never
+        // across every roster matcher — salvage costs recompute, never
         // correctness.
         for (name, matcher) in all_matchers() {
             let registry = MappingRegistry::new();

@@ -1,14 +1,13 @@
 //! The persistence identity gate: a loaded snapshot must be
 //! indistinguishable — **bitwise**, down to every answer score — from
-//! the repository it was saved from, across all six matching systems;
+//! the repository it was saved from, across all five matching systems;
 //! and a row that was spilled to disk and faulted back must be bitwise
 //! equal to its recomputed twin.
 
 use smx_eval::AnswerSet;
 use smx_match::{
     BatchMatcher, BatchProblem, BeamMatcher, BruteForceMatcher, ClusterMatcher, ExhaustiveMatcher,
-    Mapping, MappingRegistry, MatchProblem, Matcher, ObjectiveFunction, ParallelExhaustiveMatcher,
-    TopKMatcher,
+    Mapping, MappingRegistry, MatchProblem, Matcher, ObjectiveFunction, TopKMatcher,
 };
 use smx_persist::{Snapshot, SpillFile};
 use smx_repo::{LabelId, Repository, StoreConfig};
@@ -36,15 +35,11 @@ fn scenario(seed: u64) -> Scenario {
     })
 }
 
-/// All six matching systems.
+/// All five matching systems.
 fn matchers() -> Vec<(&'static str, Box<dyn Matcher + Sync>)> {
     let objective = ObjectiveFunction::default;
     vec![
         ("exhaustive", Box::new(ExhaustiveMatcher::new(objective()))),
-        (
-            "parallel",
-            Box::new(ParallelExhaustiveMatcher::new(objective(), 3)),
-        ),
         ("brute-force", Box::new(BruteForceMatcher::new(objective()))),
         ("beam", Box::new(BeamMatcher::new(objective(), 16))),
         (

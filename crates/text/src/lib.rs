@@ -23,8 +23,7 @@
 //! * [`dispatch`] — runtime selection of the kernel's vectorised inner
 //!   loops ([`KernelVariant`]: scalar oracle, SWAR-on-`u64`, or
 //!   `std::arch` SSE2/NEON behind feature detection; `SMX_KERNEL_FORCE`
-//!   overrides),
-//! * [`cache`] — a concurrent memo table so repeated pairs are scored once.
+//!   overrides).
 //!
 //! Every similarity function returns a score in `[0, 1]`, is symmetric in
 //! its arguments, and returns exactly `1.0` for equal inputs — invariants
@@ -32,7 +31,6 @@
 
 pub mod affix;
 mod arch;
-pub mod cache;
 pub mod combined;
 pub mod dispatch;
 pub mod jaro;
@@ -44,7 +42,6 @@ mod swar;
 pub mod token;
 
 pub use affix::{common_prefix_len, common_suffix_len, prefix_similarity, suffix_similarity};
-pub use cache::SimilarityCache;
 pub use combined::{default_name_mix, NameSimilarity, SimilarityMeasure, WeightedSimilarity};
 pub use dispatch::KernelVariant;
 pub use jaro::{jaro, jaro_winkler};

@@ -107,14 +107,6 @@ proptest! {
         prop_assert!((sim.distance(&a, &b) - (1.0 - s)).abs() < 1e-12);
     }
 
-    #[test]
-    fn cache_transparent(a in ident(), b in ident()) {
-        let cache = SimilarityCache::new(jaro_winkler);
-        prop_assert_eq!(cache.similarity(&a, &b), jaro_winkler(&a, &b));
-        // Second lookup returns the identical value.
-        prop_assert_eq!(cache.similarity(&b, &a), jaro_winkler(&a, &b));
-    }
-
     /// The row kernel's score-identity contract: preprocessed profiles
     /// reproduce the scalar combined measure to the bit.
     #[test]
