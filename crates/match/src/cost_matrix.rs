@@ -543,7 +543,6 @@ mod tests {
         let mut bounded = Repository::with_store_config(smx_repo::StoreConfig {
             max_cached_rows: Some(cap),
             batch_threads: 1,
-            shards: 0,
         });
         for s in schemas() {
             unbounded.add(s);

@@ -1,13 +1,12 @@
-//! Differential gate for the sharded, mutable store: a repository that
-//! has been sharded, bounded, removed-from, and replaced-into must give
-//! every matcher in the roster answers **bitwise identical** (resolved
-//! mappings + `f64::to_bits` scores) to a fresh, unsharded, unbounded
-//! rebuild of the same final schemas — tombstoned slots rebuilt as the
-//! empty placeholder schemas every matcher skips.
+//! Differential gate for the mutable store: a repository that has been
+//! bounded, removed-from, and replaced-into must give every matcher in
+//! the roster answers **bitwise identical** (resolved mappings +
+//! `f64::to_bits` scores) to a fresh, unbounded rebuild of the same
+//! final schemas — tombstoned slots rebuilt as the empty placeholder
+//! schemas every matcher skips.
 //!
-//! This is the acceptance gate of the sharding/mutability tentpole:
-//! sharding, global-LRU eviction, orphaned labels, and generation
-//! stamps are all invisible at the answer level.
+//! LRU eviction, orphaned labels, and generation stamps are all
+//! invisible at the answer level.
 
 use smx_match::test_support::{all_matchers, canonical_answers, run_matcher};
 use smx_match::MappingRegistry;
@@ -27,12 +26,11 @@ fn scenario(seed: u64, domain: Domain) -> Scenario {
     })
 }
 
-/// Rebuild `mutated`'s final schemas into a fresh single-shard,
-/// unbounded repository — the oracle. Removed slots become empty
+/// Rebuild `mutated`'s final schemas into a fresh, unbounded
+/// repository — the oracle. Removed slots become empty
 /// placeholder schemas so `SchemaId`s line up exactly.
 fn fresh_unsharded_oracle(mutated: &Repository) -> Repository {
     let mut oracle = Repository::with_store_config(StoreConfig {
-        shards: 1,
         max_cached_rows: None,
         batch_threads: 1,
     });
@@ -59,7 +57,6 @@ fn mutated_sharded_store_is_bitwise_identical_to_fresh_unsharded_rebuild() {
         // of the same domain, and re-add one removed slot's schema
         // verbatim.
         let mut mutated = Repository::with_store_config(StoreConfig {
-            shards: 8,
             max_cached_rows: Some(3),
             batch_threads: 0,
         });
@@ -78,7 +75,7 @@ fn mutated_sharded_store_is_bitwise_identical_to_fresh_unsharded_rebuild() {
         let donor = scenario(seed + 100, domain);
         assert!(mutated.replace_schema(replaced, donor.repository.schema(SchemaId(0)).clone()));
         assert!(mutated.replace_schema(readded, sc.repository.schema(readded).clone()));
-        // Warm the bounded sharded cache before matching so eviction
+        // Warm the bounded cache before matching so eviction
         // and spill churn actually happened by the time answers are
         // compared.
         let _ = mutated

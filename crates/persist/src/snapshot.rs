@@ -16,10 +16,10 @@
 //! (the behaviour above), while **Salvage** keeps everything that still
 //! verifies and *rebuilds or drops* what doesn't — only the SCHEMAS
 //! section is load-bearing, because every other section is derivable
-//! from it (labels and tokens by deterministic replay, rows by
-//! re-sweeping on demand, config by defaults). A salvage load reports
-//! exactly what it did in a [`SnapshotReport`], so degradation is
-//! visible, never silent.
+//! from it (labels by deterministic replay, rows by re-sweeping on
+//! demand, config by defaults). A salvage load reports exactly what it
+//! did in a [`SnapshotReport`], so degradation is visible, never
+//! silent.
 //!
 //! Saves are crash-safe: [`Snapshot::save_snapshot_file`] stages the
 //! image in a sibling temp file, fsyncs, renames over the target, and
@@ -30,7 +30,7 @@
 use crate::error::PersistError;
 use crate::io::{atomic_write_file, PersistIo, RealIo};
 use crate::wire::{fnv1a, Reader, Writer};
-use smx_repo::{LabelInterner, LabelStore, Repository, SchemaId, StoreState, TokenIndex};
+use smx_repo::{LabelInterner, LabelStore, Repository, StoreState};
 use smx_xml::{Node, NodeId, Occurs, PrimitiveType, Schema};
 use std::fmt;
 use std::path::Path;
@@ -38,18 +38,22 @@ use std::path::Path;
 /// The 8-byte snapshot magic. Never changes across versions.
 pub const MAGIC: [u8; 8] = *b"SMXPSNAP";
 
-/// The snapshot format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 1;
+/// The snapshot format version this build writes. Readers also accept
+/// version 1, whose extra TOKENS section (id 3) they skip and whose
+/// trailing CONFIG shard count they ignore.
+pub const FORMAT_VERSION: u32 = 2;
 
-/// Section ids of the version-1 layout. All are mandatory; readers
-/// skip ids they don't know (see the compatibility policy).
+/// The oldest format version this build reads.
+const OLDEST_READABLE_VERSION: u32 = 1;
+
+/// Section ids. Readers skip ids they don't know (see the compatibility
+/// policy). Id 3 held version 1's token index; it is retired and never
+/// reused.
 pub mod section {
     /// Repository schemas (names + arena nodes).
     pub const SCHEMAS: u32 = 1;
     /// Interned labels + per-schema column maps.
     pub const LABELS: u32 = 2;
-    /// Token inverted index postings.
-    pub const TOKENS: u32 = 3;
     /// Cached score rows, least recently used first.
     pub const ROWS: u32 = 4;
     /// Store configuration (cache bound, sweep workers).
@@ -66,10 +70,9 @@ pub mod section {
     /// what those snapshots describe — tombstones didn't exist yet).
     pub const TOMBSTONES: u32 = 7;
 
-    /// Every mandatory version-1 section. FILTERS and TOMBSTONES are
-    /// deliberately not in this list — their absence is legal (older
-    /// writers).
-    pub const MANDATORY: [u32; 5] = [SCHEMAS, LABELS, TOKENS, ROWS, CONFIG];
+    /// Every mandatory section. FILTERS and TOMBSTONES are deliberately
+    /// not in this list — their absence is legal (older writers).
+    pub const MANDATORY: [u32; 4] = [SCHEMAS, LABELS, ROWS, CONFIG];
 }
 
 /// How a snapshot load treats damage.
@@ -82,10 +85,10 @@ pub enum RecoveryPolicy {
     #[default]
     Strict,
     /// Keep everything that still verifies; rebuild or drop what
-    /// doesn't. Only the SCHEMAS section is required — labels and the
-    /// token index are rebuilt from the schemas by deterministic
-    /// replay, damaged cached rows are dropped (a cold store, rebuilt
-    /// on demand), damaged config falls back to defaults. What was
+    /// doesn't. Only the SCHEMAS section is required — labels are
+    /// rebuilt from the schemas by deterministic replay, damaged cached
+    /// rows are dropped (a cold store, rebuilt on demand), damaged
+    /// config falls back to defaults. What was
     /// salvaged is reported in the returned [`SnapshotReport`]; match
     /// answers stay bitwise-identical either way because every rebuilt
     /// structure is a pure function of the schemas. The right mode for
@@ -127,9 +130,6 @@ pub enum SalvageEvent {
     /// replaying the interner over the schemas (identical to ingest
     /// order, so surviving cached rows stay valid).
     LabelsRebuilt(Damage),
-    /// TOKENS was damaged; the token inverted index was rebuilt from
-    /// the schemas.
-    TokensRebuilt(Damage),
     /// ROWS was damaged (or contradicted the label list); all cached
     /// score rows were dropped — the store restarts cold and re-sweeps
     /// on demand, bitwise-identically.
@@ -159,9 +159,6 @@ impl fmt::Display for SalvageEvent {
         match self {
             SalvageEvent::LabelsRebuilt(d) => {
                 write!(f, "LABELS {d}: labels + column maps rebuilt from schemas")
-            }
-            SalvageEvent::TokensRebuilt(d) => {
-                write!(f, "TOKENS {d}: token index rebuilt from schemas")
             }
             SalvageEvent::RowsDropped(d) => {
                 write!(f, "ROWS {d}: cached score rows dropped (cold store)")
@@ -276,7 +273,6 @@ impl Snapshot for Repository {
         let sections: Vec<(u32, Vec<u8>)> = vec![
             (section::SCHEMAS, encode_schemas(self)),
             (section::LABELS, encode_labels(&state)),
-            (section::TOKENS, encode_tokens(&state)),
             (section::ROWS, encode_rows(&state)),
             (section::CONFIG, encode_config(&state)),
             (section::FILTERS, encode_filters(&state)),
@@ -350,9 +346,8 @@ fn strict_load(bytes: &[u8]) -> Result<Repository, PersistError> {
     };
     let schemas = decode_schemas(payload(section::SCHEMAS)?)?;
     let (labels, schema_labels) = decode_labels(payload(section::LABELS)?)?;
-    let postings = decode_tokens(payload(section::TOKENS)?)?;
     let rows = decode_rows(payload(section::ROWS)?)?;
-    let (max_cached_rows, batch_threads, shards) = decode_config(payload(section::CONFIG)?)?;
+    let (max_cached_rows, batch_threads) = decode_config(payload(section::CONFIG)?)?;
     // FILTERS is additive: absent (an older writer) means the lanes are
     // rebuilt from the label text at import; *present* but undecodable
     // is damage and rejected like any other strict failure. (A present
@@ -373,11 +368,9 @@ fn strict_load(bytes: &[u8]) -> Result<Repository, PersistError> {
     let state = StoreState {
         labels,
         schema_labels,
-        postings,
         rows,
         max_cached_rows,
         batch_threads,
-        shards,
         filters,
         tombstones,
     };
@@ -399,7 +392,6 @@ fn strict_load(bytes: &[u8]) -> Result<Repository, PersistError> {
 ///   Replay order equals ingest order equals save order, so a rebuilt
 ///   label list is *identical* to the lost one and surviving cached
 ///   rows (prefix-indexed by label order) remain valid.
-/// * TOKENS → rebuilt by replaying [`TokenIndex::add_schema`].
 /// * ROWS → dropped; the store restarts cold and re-sweeps on demand.
 /// * CONFIG → defaults.
 fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistError> {
@@ -440,22 +432,6 @@ fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistErr
         }
     };
 
-    // TOKENS: same shape, rebuilt via the incremental index path.
-    let postings_result = payload(section::TOKENS)
-        .and_then(|p| decode_tokens(p).map_err(|_| Damage::Undecodable))
-        .and_then(|postings| {
-            validate_postings(&schemas, &postings)
-                .map(|()| postings)
-                .map_err(|_| Damage::Inconsistent)
-        });
-    let postings = match postings_result {
-        Ok(postings) => postings,
-        Err(damage) => {
-            events.push(SalvageEvent::TokensRebuilt(damage));
-            rebuild_postings(&schemas)
-        }
-    };
-
     // ROWS: validated against the *final* label list (original or
     // rebuilt — identical by construction, but never trusted blindly).
     let rows_result = payload(section::ROWS)
@@ -474,13 +450,13 @@ fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistErr
     };
 
     // CONFIG: defaults on any damage.
-    let (max_cached_rows, batch_threads, shards) = match payload(section::CONFIG)
+    let (max_cached_rows, batch_threads) = match payload(section::CONFIG)
         .and_then(|p| decode_config(p).map_err(|_| Damage::Undecodable))
     {
         Ok(config) => config,
         Err(damage) => {
             events.push(SalvageEvent::ConfigDefaulted(damage));
-            (None, 0, 0)
+            (None, 0)
         }
     };
 
@@ -532,11 +508,9 @@ fn salvage_load(bytes: &[u8]) -> Result<(Repository, SnapshotReport), PersistErr
     let state = StoreState {
         labels,
         schema_labels,
-        postings,
         rows,
         max_cached_rows,
         batch_threads,
-        shards,
         filters,
         tombstones,
     };
@@ -566,19 +540,6 @@ fn rebuild_labels(schemas: &[Schema]) -> (Vec<String>, Vec<Vec<u32>>) {
     (labels, schema_labels)
 }
 
-/// Rebuild the token inverted index postings by replaying the
-/// incremental `add_schema` path over the schemas in id order.
-fn rebuild_postings(schemas: &[Schema]) -> Vec<(String, Vec<smx_repo::ElementRef>)> {
-    let mut index = TokenIndex::default();
-    for (i, schema) in schemas.iter().enumerate() {
-        index.add_schema(SchemaId(i as u32), schema);
-    }
-    index
-        .postings()
-        .map(|(token, elements)| (token.to_owned(), elements.to_vec()))
-        .collect()
-}
-
 /// One parsed and checksum-verified section table entry.
 struct SectionEntry {
     id: u32,
@@ -586,11 +547,10 @@ struct SectionEntry {
     len: usize,
 }
 
-/// Parse the header + section table and verify every section's bounds
-/// and checksum. Unknown section ids are kept in the table (and simply
-/// never asked for) — the forward-compatibility half of the policy.
-fn read_section_table(bytes: &[u8]) -> Result<Vec<SectionEntry>, PersistError> {
-    let mut r = Reader::new(bytes);
+/// Check the magic and a readable format version, leaving `r` at the
+/// section count. Both table parses share it: without a valid header
+/// nothing identifies the bytes as a snapshot.
+fn read_header(bytes: &[u8], r: &mut Reader<'_>) -> Result<(), PersistError> {
     if bytes.len() < MAGIC.len() {
         return Err(PersistError::Truncated);
     }
@@ -601,10 +561,18 @@ fn read_section_table(bytes: &[u8]) -> Result<Vec<SectionEntry>, PersistError> {
     if magic != MAGIC {
         return Err(PersistError::BadMagic);
     }
-    let version = r.get_u32()?;
-    if version != FORMAT_VERSION {
-        return Err(PersistError::UnsupportedVersion(version));
+    match r.get_u32()? {
+        OLDEST_READABLE_VERSION..=FORMAT_VERSION => Ok(()),
+        version => Err(PersistError::UnsupportedVersion(version)),
     }
+}
+
+/// Parse the header + section table and verify every section's bounds
+/// and checksum. Unknown section ids are kept in the table (and simply
+/// never asked for) — the forward-compatibility half of the policy.
+fn read_section_table(bytes: &[u8]) -> Result<Vec<SectionEntry>, PersistError> {
+    let mut r = Reader::new(bytes);
+    read_header(bytes, &mut r)?;
     let count = r.get_u32()? as usize;
     // Each table entry is 28 bytes; a count the remaining bytes cannot
     // hold is a lie (the header is outside the checksummed payloads, so
@@ -639,20 +607,7 @@ fn read_section_table(bytes: &[u8]) -> Result<Vec<SectionEntry>, PersistError> {
 /// its count yields the entries that fit.
 fn read_section_table_lenient(bytes: &[u8]) -> Result<Vec<(SectionEntry, bool)>, PersistError> {
     let mut r = Reader::new(bytes);
-    if bytes.len() < MAGIC.len() {
-        return Err(PersistError::Truncated);
-    }
-    let mut magic = [0u8; 8];
-    for m in &mut magic {
-        *m = r.get_u8()?;
-    }
-    if magic != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = r.get_u32()?;
-    if version != FORMAT_VERSION {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
+    read_header(bytes, &mut r)?;
     let count = (r.get_u32()? as usize).min(r.remaining() / 28);
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
@@ -810,38 +765,6 @@ fn decode_labels(bytes: &[u8]) -> Result<LabelSections, PersistError> {
     Ok((labels, schema_labels))
 }
 
-fn encode_tokens(state: &StoreState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u32(state.postings.len() as u32);
-    for (token, elements) in &state.postings {
-        w.put_str(token);
-        w.put_u32(elements.len() as u32);
-        for element in elements {
-            w.put_u32(element.schema.0);
-            w.put_u32(element.node.0);
-        }
-    }
-    w.into_bytes()
-}
-
-fn decode_tokens(bytes: &[u8]) -> Result<Vec<(String, Vec<smx_repo::ElementRef>)>, PersistError> {
-    let mut r = Reader::new(bytes);
-    let count = r.get_u32()? as usize;
-    let mut postings = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        let token = r.get_str()?;
-        let n = r.get_u32()? as usize;
-        let mut elements = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let schema = smx_repo::SchemaId(r.get_u32()?);
-            let node = NodeId(r.get_u32()?);
-            elements.push(smx_repo::ElementRef { schema, node });
-        }
-        postings.push((token, elements));
-    }
-    Ok(postings)
-}
-
 fn encode_rows(state: &StoreState) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u32(state.rows.len() as u32);
@@ -884,15 +807,13 @@ fn encode_config(state: &StoreState) -> Vec<u8> {
         None => w.put_u8(0),
     }
     w.put_u64(state.batch_threads as u64);
-    // Trailing, added with the sharded store: the configured shard
-    // count (0 = auto). Old readers never reach it (they stop after
-    // batch_threads); old payloads simply end before it — see
-    // decode_config.
-    w.put_u64(state.shards as u64);
     w.into_bytes()
 }
 
-fn decode_config(bytes: &[u8]) -> Result<(Option<usize>, usize, usize), PersistError> {
+/// Decode `(max_cached_rows, batch_threads)`. Version-1 payloads may
+/// carry a trailing shard count; it configured nothing that changes
+/// answers, so it is ignored.
+fn decode_config(bytes: &[u8]) -> Result<(Option<usize>, usize), PersistError> {
     let mut r = Reader::new(bytes);
     let max_cached_rows = match r.get_u8()? {
         0 => None,
@@ -900,17 +821,7 @@ fn decode_config(bytes: &[u8]) -> Result<(Option<usize>, usize, usize), PersistE
         f => return Err(PersistError::Corrupt(format!("bad config flag {f}"))),
     };
     let batch_threads = r.get_u64()? as usize;
-    // The shard count is a trailing addition: payloads written before
-    // the sharded store end here, and 0 (auto) reproduces their
-    // behaviour exactly — the pre-sharding store was one shard, and
-    // auto on the same machine resolves the same everywhere answers
-    // are concerned (sharding never changes results, only contention).
-    let shards = if r.remaining() >= 8 {
-        r.get_u64()? as usize
-    } else {
-        0
-    };
-    Ok((max_cached_rows, batch_threads, shards))
+    Ok((max_cached_rows, batch_threads))
 }
 
 /// TOMBSTONES payload: slot count, then one `(removed, generation)`
@@ -1038,14 +949,12 @@ fn decode_filters(bytes: &[u8]) -> Result<Vec<smx_repo::FilterProfileData>, Pers
 /// Cross-reference the decoded sections before any store is built: the
 /// label list must be duplicate-free, every column map must mirror its
 /// schema's node names through the label list, every cached row must be
-/// a valid prefix of the label list, and every token posting must point
-/// at a real element (the pre-filter path indexes schemas by these
-/// references unchecked). Composed from the per-section validators the
-/// salvage path uses piecewise.
+/// a valid prefix of the label list, and the filter lanes and tombstones
+/// must be sized to the labels and slots. Composed from the per-section
+/// validators the salvage path uses piecewise.
 fn validate(schemas: &[Schema], state: &StoreState) -> Result<(), PersistError> {
     validate_labels(schemas, &state.labels, &state.schema_labels)?;
     validate_rows(state.labels.len(), &state.rows)?;
-    validate_postings(schemas, &state.postings)?;
     validate_filters(state.labels.len(), state.filters.as_deref())?;
     validate_tombstones(schemas.len(), state.tombstones.as_deref())
 }
@@ -1140,32 +1049,6 @@ fn validate_rows(label_count: usize, rows: &[(String, Vec<f64>)]) -> Result<(), 
     Ok(())
 }
 
-/// The TOKENS cross-check: every posting must point at a real element.
-fn validate_postings(
-    schemas: &[Schema],
-    postings: &[(String, Vec<smx_repo::ElementRef>)],
-) -> Result<(), PersistError> {
-    for (token, elements) in postings {
-        for element in elements {
-            let schema = schemas.get(element.schema.index()).ok_or_else(|| {
-                PersistError::Corrupt(format!(
-                    "token {token:?} posting references schema {}",
-                    element.schema
-                ))
-            })?;
-            if element.node.index() >= schema.len() {
-                return Err(PersistError::Corrupt(format!(
-                    "token {token:?} posting references node {} of {}-node schema {}",
-                    element.node,
-                    schema.len(),
-                    element.schema
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1227,7 +1110,6 @@ mod tests {
     #[test]
     fn config_round_trips() {
         let mut repo = Repository::with_store_config(smx_repo::StoreConfig {
-            shards: 0,
             max_cached_rows: Some(3),
             batch_threads: 2,
         });
@@ -1290,20 +1172,6 @@ mod tests {
     }
 
     #[test]
-    fn salvage_rebuilds_corrupt_tokens() {
-        let repo = repository();
-        let mut bytes = repo.save_snapshot();
-        corrupt_section(&mut bytes, section::TOKENS);
-        let (loaded, report) =
-            Repository::load_snapshot_report(&bytes, RecoveryPolicy::Salvage).unwrap();
-        assert_eq!(
-            report.events,
-            vec![SalvageEvent::TokensRebuilt(Damage::BadChecksum)]
-        );
-        assert_eq!(loaded, repo);
-    }
-
-    #[test]
     fn salvage_drops_corrupt_rows_to_cold_store() {
         let repo = repository();
         let mut bytes = repo.save_snapshot();
@@ -1322,7 +1190,6 @@ mod tests {
     #[test]
     fn salvage_defaults_corrupt_config() {
         let mut repo = Repository::with_store_config(smx_repo::StoreConfig {
-            shards: 0,
             max_cached_rows: Some(3),
             batch_threads: 2,
         });
@@ -1525,32 +1392,43 @@ mod tests {
     }
 
     #[test]
-    fn config_payloads_without_shard_count_decode_as_auto() {
-        // A CONFIG payload from a pre-sharding writer ends after
-        // batch_threads; the reader must treat the missing trailing
-        // field as `shards: 0` (auto) rather than erroring.
+    fn v1_config_payloads_with_a_trailing_shard_count_decode() {
+        // A version-1 CONFIG payload ends with the store's shard count
+        // after batch_threads; the reader ignores it.
         let mut w = Writer::new();
         w.put_u8(1);
         w.put_u64(7);
         w.put_u64(3);
-        let (cap, threads, shards) = decode_config(&w.into_bytes()).unwrap();
-        assert_eq!(cap, Some(7));
-        assert_eq!(threads, 3);
-        assert_eq!(shards, 0);
-        // And the current writer round-trips a configured count.
+        w.put_u64(16);
+        assert_eq!(decode_config(&w.into_bytes()).unwrap(), (Some(7), 3));
+        // The current writer emits no shard count and round-trips.
         let state = StoreState {
             labels: Vec::new(),
             schema_labels: Vec::new(),
-            postings: Vec::new(),
             rows: Vec::new(),
             max_cached_rows: Some(7),
             batch_threads: 3,
-            shards: 16,
             filters: None,
             tombstones: None,
         };
-        let (cap, threads, shards) = decode_config(&encode_config(&state)).unwrap();
-        assert_eq!((cap, threads, shards), (Some(7), 3, 16));
+        let payload = encode_config(&state);
+        assert_eq!(payload.len(), 1 + 8 + 8);
+        assert_eq!(decode_config(&payload).unwrap(), (Some(7), 3));
+    }
+
+    #[test]
+    fn new_snapshots_omit_the_retired_tokens_section() {
+        let bytes = repository().save_snapshot();
+        assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes());
+        let ids: Vec<u32> = read_section_table(&bytes)
+            .unwrap()
+            .iter()
+            .map(|s| s.id)
+            .collect();
+        assert!(!ids.contains(&3), "{ids:?}");
+        for id in section::MANDATORY {
+            assert!(ids.contains(&id), "{ids:?}");
+        }
     }
 
     #[test]

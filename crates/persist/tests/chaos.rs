@@ -65,7 +65,6 @@ fn bounded_with_faulty_spill(
     path: &PathBuf,
 ) -> (Repository, Arc<SpillFile>) {
     let mut repo = Repository::with_store_config(StoreConfig {
-        shards: 0,
         max_cached_rows: Some(cap),
         batch_threads: 0,
     });
@@ -188,12 +187,9 @@ fn salvage_storm_reports_each_damaged_section_and_answers_identically() {
 
     // Flip one payload bit per degradable section and salvage each.
     type EventMatcher = fn(&SalvageEvent) -> bool;
-    let storms: [(u32, EventMatcher); 4] = [
+    let storms: [(u32, EventMatcher); 3] = [
         (smx_persist::section::LABELS, |e| {
             matches!(e, SalvageEvent::LabelsRebuilt(_))
-        }),
-        (smx_persist::section::TOKENS, |e| {
-            matches!(e, SalvageEvent::TokensRebuilt(_))
         }),
         (smx_persist::section::ROWS, |e| {
             matches!(e, SalvageEvent::RowsDropped(_))
@@ -240,13 +236,12 @@ fn salvage_storm_reports_each_damaged_section_and_answers_identically() {
 
 #[test]
 fn mutated_sharded_store_is_bitwise_identical_under_fault_storms() {
-    // The tentpole gate, composed with the chaos seam: a *sharded*,
-    // bounded store whose repository has been mutated (one slot
-    // removed, one replaced) rides the same fault storms — and every
-    // roster matcher must still answer bitwise identically to a
-    // fault-free, unsharded, unbounded rebuild of the same final
-    // schemas (tombstoned slot as the empty placeholder every matcher
-    // skips).
+    // The mutation gate, composed with the chaos seam: a bounded
+    // store whose repository has been mutated (one slot removed, one
+    // replaced) rides the same fault storms — and every roster matcher
+    // must still answer bitwise identically to a fault-free, unbounded
+    // rebuild of the same final schemas (tombstoned slot as the empty
+    // placeholder every matcher skips).
     let sc = scenario(7004);
     let replacement = scenario(7104)
         .repository
@@ -264,7 +259,6 @@ fn mutated_sharded_store_is_bitwise_identical_under_fault_storms() {
         let path = temp_path(&format!("mutated-storm-{name}"));
         let io = Arc::new(FaultIo::new(Arc::new(RealIo), plan));
         let mut stormy = Repository::with_store_config(StoreConfig {
-            shards: 8,
             max_cached_rows: Some(1),
             batch_threads: 0,
         });
@@ -309,7 +303,7 @@ fn mutated_sharded_store_is_bitwise_identical_under_fault_storms() {
             assert_eq!(
                 canonical_answers(&want, &registry),
                 canonical_answers(&got, &registry),
-                "storm {name:?}: matcher {matcher_name} diverged on the mutated sharded store"
+                "storm {name:?}: matcher {matcher_name} diverged on the mutated store"
             );
         }
         std::fs::remove_file(&path).ok();
@@ -351,7 +345,6 @@ proptest! {
         // store without a sink is the degenerate (still correct) case.
         let io = Arc::new(FaultIo::new(Arc::new(RealIo), plan));
         let mut repo = Repository::with_store_config(StoreConfig {
-            shards: 0,
             max_cached_rows: Some(cap),
             batch_threads: 0,
         });

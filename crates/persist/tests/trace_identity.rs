@@ -71,7 +71,6 @@ fn bounded_with_faulty_spill(
     path: &PathBuf,
 ) -> (Repository, Arc<SpillFile>) {
     let mut repo = Repository::with_store_config(StoreConfig {
-        shards: 0,
         max_cached_rows: Some(cap),
         batch_threads: 0,
     });

@@ -19,23 +19,20 @@
 //!   reference method), plus quality measures,
 //! * [`fragment`] — per-schema fragments induced by a cluster selection:
 //!   the element sets a cluster-restricted matcher is allowed to target,
-//! * [`index`] — a token inverted index, maintained incrementally by
-//!   [`Repository::add`],
 //! * [`filter_index`] — the candidate-generation tier's filter lanes
 //!   and trigram inverted index: admissible per-label upper bounds on
 //!   the name-similarity mix, maintained incrementally on ingest and
 //!   persisted through the `smx-persist` FILTERS section,
 //! * [`store`] — the repository-resident label score store: per-label
 //!   row-kernel profiles and cached name-distance rows (full rows plus
-//!   coverage-masked partial rows for candidate subsets), updated
-//!   incrementally on every ingest, shared by every `MatchProblem`
-//!   against the repository.
+//!   coverage-masked partial rows for candidate subsets, behind one
+//!   lock each), updated incrementally on every ingest and mutation,
+//!   shared by every `MatchProblem` against the repository.
 
 pub mod cluster;
 pub mod feature;
 pub mod filter_index;
 pub mod fragment;
-pub mod index;
 pub mod intern;
 pub mod repository;
 pub mod store;
@@ -44,7 +41,6 @@ pub use cluster::{agglomerative_clustering, greedy_clustering, Cluster, Clusteri
 pub use feature::{element_features, feature_similarity, query_features, ElementFeatures};
 pub use filter_index::{FilterIndex, FilterProfile, FilterProfileData, QueryFilter, BOUND_EPS};
 pub use fragment::{fragments_for_clusters, Fragment};
-pub use index::TokenIndex;
 pub use intern::{LabelId, LabelInterner};
 pub use repository::{ElementRef, Repository, SchemaId};
 pub use store::{

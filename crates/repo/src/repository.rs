@@ -1,8 +1,8 @@
 //! A repository of XML schemas with global element addressing.
 //!
 //! Every [`Repository::add`] also feeds the repository's
-//! [`LabelStore`] — interner, per-label row-kernel profiles, token
-//! index, and cached score rows — **incrementally**: ingest appends, it
+//! [`LabelStore`] — interner, per-label row-kernel profiles, filter
+//! lanes, and cached score rows — **incrementally**: ingest appends, it
 //! never rebuilds. The store sits behind an `Arc`, so cloning a
 //! repository (e.g. to construct a `MatchProblem`) shares all
 //! label-level preprocessing and every score row computed so far.
@@ -57,7 +57,7 @@ pub struct Repository {
     /// The schemas, `Arc`-shared across clones; `Arc::make_mut`
     /// detaches on the rare mutate-after-clone.
     schemas: Arc<Vec<Schema>>,
-    /// Derived, append-only state (interner, profiles, token index,
+    /// Derived, append-only state (interner, profiles, filter lanes,
     /// score rows). `Arc` so clones share it; `Arc::make_mut` detaches
     /// on the rare mutate-after-clone.
     ///
@@ -96,8 +96,7 @@ impl Repository {
     /// Reassemble a repository from a schema list and an already
     /// imported label store — the warm-restart path `smx-persist`'s
     /// snapshot loader uses instead of replaying [`add`](Self::add)
-    /// (which would rebuild profiles, postings, and score rows from
-    /// scratch).
+    /// (which would rebuild profiles and score rows from scratch).
     ///
     /// The store must describe exactly these schemas (one column map per
     /// schema, labels resolving to the schemas' node names); the
@@ -117,8 +116,8 @@ impl Repository {
     }
 
     /// Add a schema, returning its id. Updates the label store
-    /// incrementally: new distinct labels are profiled, token postings
-    /// appended — nothing is rebuilt.
+    /// incrementally: new distinct labels are profiled, label→schema
+    /// postings appended — nothing is rebuilt.
     pub fn add(&mut self, schema: Schema) -> SchemaId {
         let id = SchemaId(self.schemas.len() as u32);
         Arc::make_mut(&mut self.store).add_schema(id, &schema);
@@ -131,7 +130,8 @@ impl Repository {
     /// range or already removed.
     ///
     /// Maintenance is **incremental and targeted**: the removed
-    /// schema's token postings and store column map are stripped, its
+    /// schema's label→schema postings and store column map are
+    /// stripped, its
     /// slot is replaced by an empty placeholder schema (every matcher
     /// skips empty schemas), and its generation stamp is bumped.
     /// Label-level derived state — interned labels, row-kernel
@@ -145,11 +145,8 @@ impl Repository {
         if sid.index() >= self.schemas.len() || self.store.is_removed(sid) {
             return false;
         }
-        let old = {
-            let schemas = Arc::make_mut(&mut self.schemas);
-            std::mem::replace(&mut schemas[sid.index()], Schema::new(""))
-        };
-        Arc::make_mut(&mut self.store).remove_schema(sid, &old);
+        Arc::make_mut(&mut self.schemas)[sid.index()] = Schema::new("");
+        Arc::make_mut(&mut self.store).remove_schema(sid);
         true
     }
 
@@ -161,19 +158,15 @@ impl Repository {
     /// `sid` is out of range.
     ///
     /// Like [`add`](Self::add), ingest is incremental: new distinct
-    /// labels are profiled and token postings spliced in at their
-    /// sorted positions — nothing is rebuilt, no cached score row is
+    /// labels are profiled and label→schema postings spliced in at
+    /// their sorted positions — nothing is rebuilt, no cached score row is
     /// invalidated.
     pub fn replace_schema(&mut self, sid: SchemaId, schema: Schema) -> bool {
         if sid.index() >= self.schemas.len() {
             return false;
         }
         if !self.store.is_removed(sid) {
-            let old = {
-                let schemas = Arc::make_mut(&mut self.schemas);
-                std::mem::replace(&mut schemas[sid.index()], Schema::new(""))
-            };
-            Arc::make_mut(&mut self.store).remove_schema(sid, &old);
+            Arc::make_mut(&mut self.store).remove_schema(sid);
         }
         Arc::make_mut(&mut self.store).reingest_schema(sid, &schema);
         Arc::make_mut(&mut self.schemas)[sid.index()] = schema;
@@ -194,15 +187,11 @@ impl Repository {
     }
 
     /// The repository's label store: interner, row-kernel profiles,
-    /// token index, and cached score rows, all maintained by
-    /// [`add`](Self::add).
+    /// filter lanes, and cached score rows, all maintained by
+    /// [`add`](Self::add), [`remove_schema`](Self::remove_schema) and
+    /// [`replace_schema`](Self::replace_schema).
     pub fn store(&self) -> &LabelStore {
         &self.store
-    }
-
-    /// The incremental token inverted index (shortcut into the store).
-    pub fn token_index(&self) -> &crate::TokenIndex {
-        self.store.token_index()
     }
 
     /// Drop the store's cached score rows — benches use this to time a

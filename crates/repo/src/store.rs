@@ -11,41 +11,34 @@
 //!   Myers pattern table, flat trigram profile), built exactly once, at
 //!   ingest,
 //! * per-schema label ids in arena order (the cost-matrix column map),
-//! * the incremental [`TokenIndex`],
 //! * a **score-row cache**: for each query label already seen, the dense
 //!   vector of name *distances* to every stored label, computed by one
 //!   [`RowKernel`] sweep and reused by every later query.
 //!
-//! Adding a schema appends: new distinct labels get profiles, postings
-//! are appended, and cached score rows stay valid — they simply cover a
-//! prefix of the grown label list and are *extended* (only the new
-//! columns are evaluated) the next time they are requested. Nothing is
-//! ever rebuilt from scratch.
+//! Adding a schema appends: new distinct labels get profiles,
+//! label→schema postings are appended, and cached score rows stay valid
+//! — they simply cover a prefix of the grown label list and are
+//! *extended* (only the new columns are evaluated) the next time they
+//! are requested. Nothing is ever rebuilt from scratch.
 //!
-//! # Sharded caches
+//! # Locking
 //!
-//! The row and partial-row caches are split into label-hash **shards**
-//! ([`StoreConfig::shards`]), each with its own lock and counter slice,
-//! so concurrent `score_rows` callers — parallel matchers, batch
-//! serving — stop serialising on one cache lock. Sharding is invisible
-//! to results: rows are keyed by query text, every query hashes to
-//! exactly one shard, and the LRU bound stays **global** — a bounded
-//! eviction pass locks all shards (in index order) and removes the
-//! globally least-recently-used rows, wherever they live, so a sharded
-//! bounded store keeps exactly the rows an unsharded one would.
-//! Unbounded stores never take a cross-shard lock on the hot path.
-//! Counters are merged per shard into one [`StoreCounters`] snapshot by
-//! the associative [`StoreCounters::merge`].
+//! Full rows and partial rows live in two maps, each behind one
+//! `RwLock`. Warm hits take only the shared lock (recency stamps and
+//! hit counters are atomics), so concurrent `score_rows` callers —
+//! parallel matchers, batch serving — do not serialise on the hot path.
+//! Installing swept rows, LRU eviction, [`LabelStore::counters`],
+//! `Clone`, and [`LabelStore::export_state`] each take the exclusive row
+//! lock once.
 //!
 //! # Mutability: remove / replace
 //!
 //! [`Repository::remove_schema`](crate::Repository::remove_schema) and
 //! [`Repository::replace_schema`](crate::Repository::replace_schema)
 //! mutate a live repository **incrementally**: removal strips exactly
-//! the removed schema's tokens from the [`TokenIndex`] and its id from
-//! the label→schema postings, tombstones the slot (ids stay stable —
-//! a tombstoned slot holds an empty schema every matcher naturally
-//! skips), and bumps the slot's generation; replace re-ingests into the
+//! the removed schema's id from the label→schema postings, tombstones
+//! the slot (ids stay stable — a tombstoned slot holds an empty schema
+//! every matcher naturally skips), and bumps the slot's generation; replace re-ingests into the
 //! same slot at its sorted posting positions. Nothing is rebuilt.
 //!
 //! Cached score rows are **never invalidated** by mutations, by design:
@@ -120,8 +113,8 @@
 //! are byte-for-byte the rows that were evicted, so they are bitwise
 //! identical to recompute. [`LabelStore::export_state`] /
 //! [`LabelStore::import_state`] snapshot and restore the whole hot state
-//! (labels, per-schema column maps, token index, cached rows in LRU
-//! order) for warm restarts.
+//! (labels, per-schema column maps, filter lanes, tombstones, cached
+//! rows in LRU order) for warm restarts.
 //!
 //! # Score-identity contract
 //!
@@ -141,9 +134,8 @@
 //! contract, differential-tested in `smx_text`.
 
 use crate::filter_index::{FilterIndex, FilterProfileData, QueryFilter};
-use crate::index::TokenIndex;
 use crate::intern::{LabelId, LabelInterner};
-use crate::repository::{ElementRef, SchemaId};
+use crate::repository::SchemaId;
 use parking_lot::RwLock;
 use smx_text::{KernelVariant, LabelProfile, RowKernel};
 use smx_xml::Schema;
@@ -154,11 +146,6 @@ use std::sync::Arc;
 /// Pending batched sweeps smaller than this many (query, label) pairs
 /// stay single-threaded — scoped workers cost more than they save.
 const PARALLEL_SWEEP_MIN_PAIRS: usize = 1024;
-
-/// Upper bound on the shard count (`StoreConfig::shards` is clamped to
-/// it). Shard counts are rounded up to a power of two so the shard of a
-/// query is one hash-and-mask.
-const MAX_SHARDS: usize = 64;
 
 /// Work-stealing sweep granularity: each worker's share of the column
 /// axis is cut into this many tiles, so a worker that finishes early
@@ -203,14 +190,6 @@ pub struct StoreConfig {
     /// `0` means auto (available parallelism). Small sweeps stay
     /// single-threaded regardless.
     pub batch_threads: usize,
-    /// Label-hash shards the row/partial-row caches are split into, each
-    /// with its own lock and counters, so concurrent `score_rows` callers
-    /// stop serialising on one cache lock. `0` means auto (available
-    /// parallelism); any value is clamped to `MAX_SHARDS` (64) and rounded
-    /// up to a power of two. Sharding never changes results or the
-    /// global LRU policy — eviction still removes the globally
-    /// least-recently-used rows (see [`LabelStore`]'s module docs).
-    pub shards: usize,
 }
 
 /// Receiver for rows evicted from a [`LabelStore`]'s bounded row cache —
@@ -333,8 +312,6 @@ pub struct StoreState {
     pub labels: Vec<String>,
     /// Per schema (by id), the label id of each node in arena order.
     pub schema_labels: Vec<Vec<u32>>,
-    /// The token inverted index as `(token, postings)` pairs.
-    pub postings: Vec<(String, Vec<ElementRef>)>,
     /// Cached score rows as `(query, distances)`, least recently used
     /// first — import re-stamps them in order, preserving LRU behaviour
     /// across a restart.
@@ -343,9 +320,6 @@ pub struct StoreState {
     pub max_cached_rows: Option<usize>,
     /// The store's sweep worker count ([`StoreConfig::batch_threads`]).
     pub batch_threads: usize,
-    /// The store's configured shard count ([`StoreConfig::shards`];
-    /// `0` = auto). Images exported before sharding decode as `0`.
-    pub shards: usize,
     /// The candidate-generation filter lanes, one entry per label in id
     /// order — `None` for images exported before the filter index
     /// existed (import then rebuilds the lanes from `labels`).
@@ -407,32 +381,6 @@ pub struct StoreCounters {
     /// Schemas replaced in place
     /// ([`Repository::replace_schema`](crate::Repository::replace_schema)).
     pub schema_replaces: u64,
-}
-
-impl StoreCounters {
-    /// Field-wise sum — the associative merge per-shard counter
-    /// snapshots are combined with ([`StoreCounters::default`] is the
-    /// identity). Each shard's fragment is internally consistent (taken
-    /// under that shard's exclusive lock), so the merged total preserves
-    /// `row_hits + row_misses == row_lookups`.
-    pub fn merge(self, other: StoreCounters) -> StoreCounters {
-        StoreCounters {
-            profile_builds: self.profile_builds + other.profile_builds,
-            pair_evals: self.pair_evals + other.pair_evals,
-            row_hits: self.row_hits + other.row_hits,
-            row_misses: self.row_misses + other.row_misses,
-            row_lookups: self.row_lookups + other.row_lookups,
-            row_evictions: self.row_evictions + other.row_evictions,
-            row_spills: self.row_spills + other.row_spills,
-            row_spill_recoveries: self.row_spill_recoveries + other.row_spill_recoveries,
-            row_spill_failures: self.row_spill_failures + other.row_spill_failures,
-            candidate_hits: self.candidate_hits + other.candidate_hits,
-            candidate_pruned: self.candidate_pruned + other.candidate_pruned,
-            partial_row_fills: self.partial_row_fills + other.partial_row_fills,
-            schema_removes: self.schema_removes + other.schema_removes,
-            schema_replaces: self.schema_replaces + other.schema_replaces,
-        }
-    }
 }
 
 impl std::fmt::Display for StoreCounters {
@@ -497,38 +445,14 @@ fn bit_set(bits: &mut [u64], i: usize) {
     bits[i / 64] |= 1u64 << (i % 64);
 }
 
-/// One label-hash shard of the row/partial-row caches: its slice of the
-/// two maps plus the counters whose lock-consistency invariant is
-/// per-shard (`row_hits + row_misses == row_lookups` holds within every
-/// shard, so it holds for the merged snapshot too).
-struct Shard {
-    /// Query label → distances to the first `row.len()` stored labels,
-    /// for queries hashing to this shard.
-    rows: RwLock<HashMap<String, CachedRow>>,
-    /// Query label → coverage-masked partial row (candidate subsets),
-    /// same hash split as `rows`.
-    partial_rows: RwLock<HashMap<String, PartialRow>>,
-    /// This shard's slice of the row/candidate work counters; updated
-    /// under this shard's locks, merged by [`LabelStore::counters`].
-    counters: ShardCounters,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            rows: RwLock::new(HashMap::new()),
-            partial_rows: RwLock::new(HashMap::new()),
-            counters: ShardCounters::default(),
-        }
-    }
-}
-
-/// The per-shard slice of [`StoreCounters`] — every counter whose
-/// paired-update consistency is guaranteed by a shard's own lock.
-/// Store-global counters (`pair_evals`, `profile_builds`, mutation
-/// counts) stay on [`LabelStore`] itself.
+/// The live, atomic form of [`StoreCounters`]. Row-path counters move
+/// while the row lock is held (shared for hits, exclusive for sweeps)
+/// and are read under the exclusive lock, so a snapshot never observes
+/// a lookup whose hit/miss classification is still in flight.
 #[derive(Default)]
-struct ShardCounters {
+struct AtomicCounters {
+    profile_builds: AtomicU64,
+    pair_evals: AtomicU64,
     row_hits: AtomicU64,
     row_misses: AtomicU64,
     row_lookups: AtomicU64,
@@ -539,14 +463,17 @@ struct ShardCounters {
     candidate_hits: AtomicU64,
     candidate_pruned: AtomicU64,
     partial_row_fills: AtomicU64,
+    schema_removes: AtomicU64,
+    schema_replaces: AtomicU64,
 }
 
-impl ShardCounters {
-    /// Relaxed-load snapshot as a [`StoreCounters`] fragment. Callers
-    /// hold the shard's exclusive row lock, so the paired
-    /// hit/miss/lookup increments cannot be observed split.
+impl AtomicCounters {
+    /// Relaxed-load snapshot; callers that need the hit/miss/lookup
+    /// invariant hold the exclusive row lock.
     fn snapshot(&self) -> StoreCounters {
         StoreCounters {
+            profile_builds: self.profile_builds.load(Relaxed),
+            pair_evals: self.pair_evals.load(Relaxed),
             row_hits: self.row_hits.load(Relaxed),
             row_misses: self.row_misses.load(Relaxed),
             row_lookups: self.row_lookups.load(Relaxed),
@@ -557,15 +484,17 @@ impl ShardCounters {
             candidate_hits: self.candidate_hits.load(Relaxed),
             candidate_pruned: self.candidate_pruned.load(Relaxed),
             partial_row_fills: self.partial_row_fills.load(Relaxed),
-            ..StoreCounters::default()
+            schema_removes: self.schema_removes.load(Relaxed),
+            schema_replaces: self.schema_replaces.load(Relaxed),
         }
     }
+}
 
-    /// A detached copy with the same counts (for [`LabelStore`]'s
-    /// `Clone`).
-    fn detach(&self) -> ShardCounters {
-        let c = self.snapshot();
-        ShardCounters {
+impl From<StoreCounters> for AtomicCounters {
+    fn from(c: StoreCounters) -> Self {
+        AtomicCounters {
+            profile_builds: AtomicU64::new(c.profile_builds),
+            pair_evals: AtomicU64::new(c.pair_evals),
             row_hits: AtomicU64::new(c.row_hits),
             row_misses: AtomicU64::new(c.row_misses),
             row_lookups: AtomicU64::new(c.row_lookups),
@@ -576,6 +505,8 @@ impl ShardCounters {
             candidate_hits: AtomicU64::new(c.candidate_hits),
             candidate_pruned: AtomicU64::new(c.candidate_pruned),
             partial_row_fills: AtomicU64::new(c.partial_row_fills),
+            schema_removes: AtomicU64::new(c.schema_removes),
+            schema_replaces: AtomicU64::new(c.schema_replaces),
         }
     }
 }
@@ -603,20 +534,8 @@ struct SubsetStats {
     pair_evals: u64,
 }
 
-/// Resolve a configured shard count: `0` means auto (available
-/// parallelism), everything is clamped to [`MAX_SHARDS`] and rounded up
-/// to a power of two so shard lookup is one hash-and-mask.
-fn resolve_shard_count(configured: usize) -> usize {
-    let want = if configured == 0 {
-        std::thread::available_parallelism().map_or(1, |t| t.get())
-    } else {
-        configured
-    };
-    want.clamp(1, MAX_SHARDS).next_power_of_two()
-}
-
-/// Interner, per-label profiles, token index, and cached score rows for
-/// one repository. Obtained via
+/// Interner, per-label profiles, filter lanes, and cached score rows
+/// for one repository. Obtained via
 /// [`Repository::store`](crate::Repository::store).
 pub struct LabelStore {
     interner: LabelInterner,
@@ -635,7 +554,6 @@ pub struct LabelStore {
     /// (schema, label) pair. Derived state, maintained at ingest and
     /// rebuilt on import.
     label_schemas: Vec<Vec<SchemaId>>,
-    index: TokenIndex,
     /// Candidate-generation filter lanes and trigram postings, one
     /// entry per label — maintained in lock-step with `profiles` at
     /// ingest.
@@ -649,15 +567,14 @@ pub struct LabelStore {
     /// cache per-schema derived state can compare generations instead of
     /// diffing schema contents.
     generations: Vec<u64>,
-    /// The label-hash shards of the row/partial-row caches (always a
-    /// power-of-two count ≥ 1). Rows are append-consistent: label ids
-    /// are stable, so a short row is a valid prefix and only its tail
-    /// needs computing after adds. Partials are strictly separate from
-    /// full rows: they never serve full-row requests.
-    shards: Box<[Shard]>,
-    /// The *configured* shard count (`0` = auto), reported by
-    /// [`config`](Self::config); `shards.len()` is the resolved count.
-    config_shards: usize,
+    /// Query label → distances to the first `row.len()` stored labels.
+    /// Rows are append-consistent: label ids are stable, so a short row
+    /// is a valid prefix and only its tail needs computing after adds.
+    rows: RwLock<HashMap<String, CachedRow>>,
+    /// Query label → coverage-masked partial row (candidate subsets).
+    /// Strictly separate from `rows`: partials never serve full-row
+    /// requests.
+    partial_rows: RwLock<HashMap<String, PartialRow>>,
     /// Monotonic recency clock for the LRU stamps.
     clock: AtomicU64,
     /// LRU bound on `rows` (`UNBOUNDED` = no bound). Atomic so tests and
@@ -668,15 +585,8 @@ pub struct LabelStore {
     /// Where evicted rows go instead of the void ([`EvictionSink`]);
     /// consulted on misses before sweeping. Shared across clones.
     sink: RwLock<Option<Arc<dyn EvictionSink>>>,
-    /// How many label profiles were ever built (label-level work).
-    profile_builds: AtomicU64,
-    /// How many (query, label) kernel evaluations were ever run
-    /// (pair-level work). Repeated queries must not move this.
-    pair_evals: AtomicU64,
-    /// Schemas removed ([`Self::remove_schema`]).
-    schema_removes: AtomicU64,
-    /// Schemas replaced in place ([`Self::reingest_schema`]).
-    schema_replaces: AtomicU64,
+    /// The work counters ([`StoreCounters`]).
+    counters: AtomicCounters,
     /// Salvage events recorded when this store was loaded from a
     /// damaged snapshot (see `smx-persist`'s `RecoveryPolicy::Salvage`).
     salvage_events: AtomicU64,
@@ -697,57 +607,36 @@ impl LabelStore {
         LabelStore::with_config(StoreConfig::default())
     }
 
-    /// An empty store with an explicit cache bound / sweep / shard
+    /// An empty store with an explicit cache bound / sweep
     /// configuration.
     pub fn with_config(config: StoreConfig) -> Self {
-        let shard_count = resolve_shard_count(config.shards);
         LabelStore {
             interner: LabelInterner::new(),
             profiles: Vec::new(),
             prefix_hashes: vec![FNV_OFFSET],
             schema_labels: Vec::new(),
             label_schemas: Vec::new(),
-            index: TokenIndex::default(),
             filters: FilterIndex::new(),
             removed: Vec::new(),
             generations: Vec::new(),
-            shards: (0..shard_count).map(|_| Shard::new()).collect(),
-            config_shards: config.shards,
+            rows: RwLock::new(HashMap::new()),
+            partial_rows: RwLock::new(HashMap::new()),
             clock: AtomicU64::new(0),
             max_cached_rows: AtomicUsize::new(config.max_cached_rows.unwrap_or(UNBOUNDED)),
             batch_threads: config.batch_threads,
             sink: RwLock::new(None),
-            profile_builds: AtomicU64::new(0),
-            pair_evals: AtomicU64::new(0),
-            schema_removes: AtomicU64::new(0),
-            schema_replaces: AtomicU64::new(0),
+            counters: AtomicCounters::default(),
             salvage_events: AtomicU64::new(0),
         }
     }
 
-    /// The store's current configuration. Reports the *configured*
-    /// shard count (`0` for auto); [`shard_count`](Self::shard_count)
-    /// is the resolved one.
+    /// The store's current configuration.
     pub fn config(&self) -> StoreConfig {
         let cap = self.max_cached_rows.load(Relaxed);
         StoreConfig {
             max_cached_rows: (cap != UNBOUNDED).then_some(cap),
             batch_threads: self.batch_threads,
-            shards: self.config_shards,
         }
-    }
-
-    /// The resolved number of label-hash cache shards (a power of two,
-    /// ≥ 1).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard `query`'s rows hash to.
-    #[inline]
-    fn shard_of(&self, query: &str) -> &Shard {
-        let h = fnv_extend(FNV_OFFSET, query.as_bytes());
-        &self.shards[h as usize & (self.shards.len() - 1)]
     }
 
     /// Change the LRU bound on a live store, evicting immediately if the
@@ -755,7 +644,7 @@ impl LabelStore {
     pub fn set_max_cached_rows(&self, max: Option<usize>) {
         self.max_cached_rows
             .store(max.unwrap_or(UNBOUNDED), Relaxed);
-        let victims = self.evict_over_cap_global();
+        let victims = self.evict_over_cap(&mut self.rows.write());
         self.spill_victims(victims);
     }
 
@@ -773,7 +662,7 @@ impl LabelStore {
 
     /// Ingest one schema: intern its labels (building profiles only for
     /// labels never seen before), record its column map, append its
-    /// token postings. Called by `Repository::add` with the id the
+    /// label→schema postings. Called by `Repository::add` with the id the
     /// schema gets; ids must arrive densely in order.
     pub(crate) fn add_schema(&mut self, sid: SchemaId, schema: &Schema) {
         debug_assert_eq!(sid.index(), self.schema_labels.len());
@@ -789,7 +678,6 @@ impl LabelStore {
         self.schema_labels.push(labels);
         self.removed.push(false);
         self.generations.push(0);
-        self.index.add_schema(sid, schema);
     }
 
     /// Intern `schema`'s labels, building profiles, filter lanes, and
@@ -811,18 +699,18 @@ impl LabelStore {
                 .expect("offset basis always present");
             self.prefix_hashes.push(fingerprint_push(last, label));
         }
-        self.profile_builds
+        self.counters
+            .profile_builds
             .fetch_add((self.interner.len() - known) as u64, Relaxed);
         self.label_schemas
             .resize_with(self.interner.len(), Vec::new);
         labels
     }
 
-    /// Remove schema `sid`: strip it from the token index and the
-    /// label→schema postings (targeted — only the removed schema's own
-    /// tokens and labels are touched, nothing is rebuilt), clear its
-    /// column map, and tombstone the slot. `schema` must be the schema
-    /// the slot held. Called by
+    /// Remove schema `sid`: strip it from the label→schema postings
+    /// (targeted — only the removed schema's own labels are touched,
+    /// nothing is rebuilt), clear its column map, and tombstone the
+    /// slot. Called by
     /// [`Repository::remove_schema`](crate::Repository::remove_schema).
     ///
     /// Cached score rows are deliberately **not** invalidated: rows are
@@ -834,9 +722,8 @@ impl LabelStore {
     /// matrix-build time through the (immediately updated) column maps
     /// and postings, so stale rows cannot leak removed schemas into
     /// answers.
-    pub(crate) fn remove_schema(&mut self, sid: SchemaId, schema: &Schema) {
+    pub(crate) fn remove_schema(&mut self, sid: SchemaId) {
         debug_assert!(!self.removed[sid.index()], "slot already tombstoned");
-        debug_assert_eq!(self.schema_labels[sid.index()].len(), schema.len());
         let mut labels = std::mem::take(&mut self.schema_labels[sid.index()]);
         labels.sort_unstable();
         labels.dedup();
@@ -846,10 +733,9 @@ impl LabelStore {
                 postings.remove(pos);
             }
         }
-        self.index.remove_schema(sid, schema);
         self.removed[sid.index()] = true;
         self.generations[sid.index()] += 1;
-        self.schema_removes.fetch_add(1, Relaxed);
+        self.counters.schema_removes.fetch_add(1, Relaxed);
         if smx_obs::enabled() {
             smx_obs::registry().counter("store.schema_removes").inc();
         }
@@ -857,8 +743,8 @@ impl LabelStore {
 
     /// Fill tombstoned slot `sid` with `schema`: intern its labels (new
     /// distinct labels append, exactly like ingest), splice the slot
-    /// back into the label→schema postings and token index at its
-    /// sorted position, and bump the slot's generation. Called by
+    /// back into the label→schema postings at its sorted position, and
+    /// bump the slot's generation. Called by
     /// [`Repository::replace_schema`](crate::Repository::replace_schema)
     /// after [`remove_schema`](Self::remove_schema).
     pub(crate) fn reingest_schema(&mut self, sid: SchemaId, schema: &Schema) {
@@ -875,10 +761,9 @@ impl LabelStore {
             }
         }
         self.schema_labels[sid.index()] = labels;
-        self.index.insert_schema_sorted(sid, schema);
         self.removed[sid.index()] = false;
         self.generations[sid.index()] += 1;
-        self.schema_replaces.fetch_add(1, Relaxed);
+        self.counters.schema_replaces.fetch_add(1, Relaxed);
         if smx_obs::enabled() {
             smx_obs::registry().counter("store.schema_replaces").inc();
         }
@@ -951,11 +836,6 @@ impl LabelStore {
     /// (schema, label) pair in the repository.
     pub fn schemas_with_label(&self, id: LabelId) -> &[SchemaId] {
         &self.label_schemas[id.index()]
-    }
-
-    /// The incremental token inverted index.
-    pub fn token_index(&self) -> &TokenIndex {
-        &self.index
     }
 
     /// The candidate-generation filter index (per-label filter lanes
@@ -1065,36 +945,37 @@ impl LabelStore {
         self.score_rows_core(queries).0
     }
 
-    /// Shared body of the `score_rows` entry points: serve hits from
-    /// each query's shard under that shard's read lock, sweep the rest.
-    /// Returns the rows plus this call's exact work stats.
+    /// Shared body of the `score_rows` entry points: serve hits under
+    /// the shared row lock, sweep the rest. Returns the rows plus this
+    /// call's exact work stats.
     fn score_rows_core(&self, queries: &[&str]) -> (Vec<Arc<Vec<f64>>>, SweepStats) {
         let n = self.profiles.len();
         let mut out: Vec<Option<Arc<Vec<f64>>>> = vec![None; queries.len()];
         let mut pending: Vec<PendingRow<'_>> = Vec::new();
         let mut pending_of: HashMap<&str, usize> = HashMap::new();
-        for (i, &q) in queries.iter().enumerate() {
-            if let Some(&pi) = pending_of.get(q) {
-                pending[pi].slots.push(i);
-                continue;
-            }
-            let shard = self.shard_of(q);
-            let cache = shard.rows.read();
-            match cache.get(q) {
-                Some(entry) if entry.row.len() == n => {
-                    entry.last_used.store(self.tick(), Relaxed);
-                    shard.counters.row_lookups.fetch_add(1, Relaxed);
-                    shard.counters.row_hits.fetch_add(1, Relaxed);
-                    out[i] = Some(Arc::clone(&entry.row));
+        {
+            let cache = self.rows.read();
+            for (i, &q) in queries.iter().enumerate() {
+                if let Some(&pi) = pending_of.get(q) {
+                    pending[pi].slots.push(i);
+                    continue;
                 }
-                stale => {
-                    let prefix = stale.map(|entry| Arc::clone(&entry.row));
-                    pending_of.insert(q, pending.len());
-                    pending.push(PendingRow {
-                        query: q,
-                        prefix,
-                        slots: vec![i],
-                    });
+                match cache.get(q) {
+                    Some(entry) if entry.row.len() == n => {
+                        entry.last_used.store(self.tick(), Relaxed);
+                        self.counters.row_lookups.fetch_add(1, Relaxed);
+                        self.counters.row_hits.fetch_add(1, Relaxed);
+                        out[i] = Some(Arc::clone(&entry.row));
+                    }
+                    stale => {
+                        let prefix = stale.map(|entry| Arc::clone(&entry.row));
+                        pending_of.insert(q, pending.len());
+                        pending.push(PendingRow {
+                            query: q,
+                            prefix,
+                            slots: vec![i],
+                        });
+                    }
                 }
             }
         }
@@ -1160,39 +1041,38 @@ impl LabelStore {
         let mut out: Vec<Option<Arc<Vec<f64>>>> = vec![None; queries.len()];
         let mut pending: Vec<(&str, Vec<usize>)> = Vec::new();
         let mut pending_of: HashMap<&str, usize> = HashMap::new();
-        for (i, &q) in queries.iter().enumerate() {
-            if let Some(&pi) = pending_of.get(q) {
-                pending[pi].1.push(i);
-                continue;
-            }
-            let shard = self.shard_of(q);
-            let cache = shard.rows.read();
-            match cache.get(q) {
-                Some(entry) if entry.row.len() == n => {
-                    // A full row serves any subset; refresh recency
-                    // so subset traffic keeps hot rows hot.
-                    entry.last_used.store(self.tick(), Relaxed);
-                    shard
-                        .counters
-                        .candidate_hits
-                        .fetch_add(cols.len() as u64, Relaxed);
-                    stats.candidate_hits += cols.len() as u64;
-                    out[i] = Some(Arc::clone(&entry.row));
+        {
+            let cache = self.rows.read();
+            for (i, &q) in queries.iter().enumerate() {
+                if let Some(&pi) = pending_of.get(q) {
+                    pending[pi].1.push(i);
+                    continue;
                 }
-                _ => {
-                    pending_of.insert(q, pending.len());
-                    pending.push((q, vec![i]));
+                match cache.get(q) {
+                    Some(entry) if entry.row.len() == n => {
+                        // A full row serves any subset; refresh recency
+                        // so subset traffic keeps hot rows hot.
+                        entry.last_used.store(self.tick(), Relaxed);
+                        self.counters
+                            .candidate_hits
+                            .fetch_add(cols.len() as u64, Relaxed);
+                        stats.candidate_hits += cols.len() as u64;
+                        out[i] = Some(Arc::clone(&entry.row));
+                    }
+                    _ => {
+                        pending_of.insert(q, pending.len());
+                        pending.push((q, vec![i]));
+                    }
                 }
             }
         }
         for (q, slots) in pending {
-            let shard = self.shard_of(q);
             // Snapshot what the partial row already covers, compute the
             // missing columns outside any lock (concurrent fills compute
             // identical values, so last-write-wins merging is safe),
             // then merge under the write lock.
             let (prior, covered): (Option<Arc<Vec<f64>>>, Vec<bool>) = {
-                let partials = shard.partial_rows.read();
+                let partials = self.partial_rows.read();
                 match partials.get(q) {
                     Some(p) => (
                         Some(Arc::clone(&p.row)),
@@ -1209,13 +1089,11 @@ impl LabelStore {
                 .filter(|&(_, &hit)| !hit)
                 .map(|(&c, _)| c)
                 .collect();
-            shard
-                .counters
+            self.counters
                 .candidate_hits
                 .fetch_add((cols.len() - missing.len()) as u64, Relaxed);
             stats.candidate_hits += (cols.len() - missing.len()) as u64;
-            shard
-                .counters
+            self.counters
                 .candidate_pruned
                 .fetch_add((n - cols.len()) as u64, Relaxed);
             if missing.is_empty() {
@@ -1233,11 +1111,13 @@ impl LabelStore {
                 .iter()
                 .map(|&c| kernel.distance(&self.profiles[c]))
                 .collect();
-            self.pair_evals.fetch_add(missing.len() as u64, Relaxed);
+            self.counters
+                .pair_evals
+                .fetch_add(missing.len() as u64, Relaxed);
             stats.pair_evals += missing.len() as u64;
-            shard.counters.partial_row_fills.fetch_add(1, Relaxed);
+            self.counters.partial_row_fills.fetch_add(1, Relaxed);
             let row = {
-                let mut partials = shard.partial_rows.write();
+                let mut partials = self.partial_rows.write();
                 let entry = partials.entry(q.to_owned()).or_insert_with(|| PartialRow {
                     row: Arc::new(Vec::new()),
                     coverage: Vec::new(),
@@ -1268,14 +1148,13 @@ impl LabelStore {
         )
     }
 
-    /// Sweep all pending rows and install each into its query's shard
-    /// (under that shard's write lock), updating counters and then
-    /// evicting past the LRU bound with one global pass. Rows absent
-    /// from memory are first offered to the eviction sink: a spilled row
-    /// faults back in as a (possibly complete) prefix, so only the tail
-    /// the store grew since the spill — often nothing — is recomputed.
-    /// All sink I/O and evicted-row spilling happens outside the cache
-    /// locks. Returns this call's exact work stats.
+    /// Sweep all pending rows and install them under one exclusive row
+    /// lock, updating counters and then evicting past the LRU bound.
+    /// Rows absent from memory are first offered to the eviction sink: a
+    /// spilled row faults back in as a (possibly complete) prefix, so
+    /// only the tail the store grew since the spill — often nothing — is
+    /// recomputed. All sink I/O and evicted-row spilling happens outside
+    /// the cache lock. Returns this call's exact work stats.
     fn fill_pending(
         &self,
         out: &mut [Option<Arc<Vec<f64>>>],
@@ -1312,8 +1191,11 @@ impl LabelStore {
             .collect();
         let tails = self.sweep(&kernels, n);
         let computed: u64 = kernels.iter().map(|&(_, start)| (n - start) as u64).sum();
-        self.pair_evals.fetch_add(computed, Relaxed);
-        for ((p, rec), tail) in pending.iter().zip(&recovered).zip(tails) {
+        self.counters.pair_evals.fetch_add(computed, Relaxed);
+        // Assemble the rows outside the lock, then install them all,
+        // count, and evict under one exclusive acquisition.
+        let mut rows = Vec::with_capacity(pending.len());
+        for (p, tail) in pending.iter().zip(tails) {
             let row = match &p.prefix {
                 // A complete prefix (recovered or cached) is reused
                 // as-is — no copy, no appended tail.
@@ -1330,36 +1212,33 @@ impl LabelStore {
             for &slot in &p.slots {
                 out[slot] = Some(Arc::clone(&row));
             }
-            let shard = self.shard_of(p.query);
-            let mut cache = shard.rows.write();
-            // One miss per row not served from memory; batch-internal
-            // duplicates were served from the in-flight row and count
-            // as hits. Counted under the shard's write lock so the
-            // per-shard hit/miss/lookup invariant can't be seen split.
-            shard
-                .counters
-                .row_lookups
-                .fetch_add(p.slots.len() as u64, Relaxed);
-            shard.counters.row_misses.fetch_add(1, Relaxed);
-            shard
-                .counters
-                .row_hits
-                .fetch_add(p.slots.len() as u64 - 1, Relaxed);
-            if *rec {
-                shard.counters.row_spill_recoveries.fetch_add(1, Relaxed);
-                if smx_obs::enabled() {
-                    smx_obs::registry().counter("store.spill_recoveries").inc();
-                }
-            }
-            cache.insert(
-                p.query.to_owned(),
-                CachedRow {
-                    row,
-                    last_used: AtomicU64::new(self.tick()),
-                },
-            );
+            rows.push(row);
         }
-        let victims = self.evict_over_cap_global();
+        let victims = {
+            let mut cache = self.rows.write();
+            for ((p, rec), row) in pending.iter().zip(&recovered).zip(rows) {
+                // One miss per row not served from memory; batch-internal
+                // duplicates were served from the in-flight row and count
+                // as hits. Counted under the write lock so the
+                // hit/miss/lookup invariant can't be seen split.
+                self.counters
+                    .row_lookups
+                    .fetch_add(p.slots.len() as u64, Relaxed);
+                self.counters.row_misses.fetch_add(1, Relaxed);
+                self.counters
+                    .row_hits
+                    .fetch_add(p.slots.len() as u64 - 1, Relaxed);
+                if *rec {
+                    self.counters.row_spill_recoveries.fetch_add(1, Relaxed);
+                    if smx_obs::enabled() {
+                        smx_obs::registry().counter("store.spill_recoveries").inc();
+                    }
+                }
+                let last_used = AtomicU64::new(self.tick());
+                cache.insert(p.query.to_owned(), CachedRow { row, last_used });
+            }
+            self.evict_over_cap(&mut cache)
+        };
         self.spill_victims(victims);
         SweepStats {
             rows_swept: pending.len() as u64,
@@ -1487,55 +1366,38 @@ impl LabelStore {
         self.clock.fetch_add(1, Relaxed) + 1
     }
 
-    /// Evict globally least-recently-used rows until the whole cache
-    /// respects the configured bound, returning `(shard, query, row)`
-    /// victims so the caller can hand them to the eviction sink *after*
-    /// the locks drop. Unbounded stores return immediately without
-    /// touching a single lock.
-    ///
-    /// Bounded stores acquire **every** shard's row lock in index order
-    /// — the store's one multi-lock order, shared with
-    /// [`counters`](Self::counters), `Clone`, and
-    /// [`export_state`](Self::export_state) — so the eviction decision
-    /// is exact across shards: the global LRU rows go, wherever they
-    /// live, and sharding never changes which rows a bounded cache
-    /// keeps. One stamp scan + one partial sort of the victims, so
-    /// tightening the bound on a large live cache stays
-    /// `O(len log len)`, not `O(len²)`.
+    /// Evict least-recently-used rows from `cache` (the exclusively
+    /// locked row map) until it respects the configured bound, returning
+    /// the `(query, row)` victims so the caller can hand them to the
+    /// eviction sink *after* the lock drops. One stamp scan + one
+    /// partial sort of the victims, so tightening the bound on a large
+    /// live cache stays `O(len log len)`, not `O(len²)`.
     #[must_use = "victims must be offered to the eviction sink outside the lock"]
-    fn evict_over_cap_global(&self) -> Vec<(usize, String, Arc<Vec<f64>>)> {
+    fn evict_over_cap(
+        &self,
+        cache: &mut HashMap<String, CachedRow>,
+    ) -> Vec<(String, Arc<Vec<f64>>)> {
         let cap = self.max_cached_rows.load(Relaxed);
-        if cap == UNBOUNDED {
-            return Vec::new();
-        }
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.rows.write()).collect();
-        let total: usize = guards.iter().map(|g| g.len()).sum();
-        let Some(excess) = total.checked_sub(cap).filter(|&e| e > 0) else {
+        let Some(excess) = cache.len().checked_sub(cap).filter(|&e| e > 0) else {
             return Vec::new();
         };
-        let mut stamps: Vec<(u64, usize, String)> = guards
+        let mut stamps: Vec<(u64, String)> = cache
             .iter()
-            .enumerate()
-            .flat_map(|(si, cache)| {
-                cache
-                    .iter()
-                    .map(move |(key, entry)| (entry.last_used.load(Relaxed), si, key.clone()))
-            })
+            .map(|(key, entry)| (entry.last_used.load(Relaxed), key.clone()))
             .collect();
         stamps.select_nth_unstable(excess - 1);
         let victims = stamps[..excess]
             .iter()
-            .map(|(_, si, key)| {
-                let (key, entry) = guards[*si]
+            .map(|(_, key)| {
+                let (key, entry) = cache
                     .remove_entry(key)
                     .expect("victim key came from the cache");
-                self.shards[*si]
-                    .counters
-                    .row_evictions
-                    .fetch_add(1, Relaxed);
-                (*si, key, entry.row)
+                (key, entry.row)
             })
             .collect();
+        self.counters
+            .row_evictions
+            .fetch_add(excess as u64, Relaxed);
         if smx_obs::enabled() {
             smx_obs::registry()
                 .counter("store.row_evictions")
@@ -1545,9 +1407,8 @@ impl LabelStore {
     }
 
     /// Offer evicted rows to the installed sink (if any). Runs with no
-    /// cache lock held — sink I/O never blocks row lookups. Spill
-    /// outcomes are counted against each victim's own shard.
-    fn spill_victims(&self, victims: Vec<(usize, String, Arc<Vec<f64>>)>) {
+    /// cache lock held — sink I/O never blocks row lookups.
+    fn spill_victims(&self, victims: Vec<(String, Arc<Vec<f64>>)>) {
         if victims.is_empty() {
             return;
         }
@@ -1555,75 +1416,52 @@ impl LabelStore {
             return;
         };
         let mut spilled = 0u64;
-        for (si, query, row) in &victims {
-            let counters = &self.shards[*si].counters;
+        for (query, row) in &victims {
             if sink.on_evict(query, row.as_slice(), self.prefix_hashes[row.len()]) {
-                counters.row_spills.fetch_add(1, Relaxed);
                 spilled += 1;
-            } else {
-                counters.row_spill_failures.fetch_add(1, Relaxed);
             }
         }
+        let failed = victims.len() as u64 - spilled;
+        self.counters.row_spills.fetch_add(spilled, Relaxed);
+        self.counters.row_spill_failures.fetch_add(failed, Relaxed);
         if smx_obs::enabled() {
             let registry = smx_obs::registry();
             registry.counter("store.row_spills").add(spilled);
-            registry
-                .counter("store.row_spill_failures")
-                .add(victims.len() as u64 - spilled);
+            registry.counter("store.row_spill_failures").add(failed);
         }
     }
 
-    /// Number of query labels with a cached score row (summed over the
-    /// shards).
+    /// Number of query labels with a cached score row.
     pub fn cached_rows(&self) -> usize {
-        self.shards.iter().map(|s| s.rows.read().len()).sum()
-    }
-
-    /// Number of cached score rows in shard `shard` (for per-shard
-    /// occupancy gauges; out-of-range shards hold 0 rows).
-    pub fn shard_cached_rows(&self, shard: usize) -> usize {
-        self.shards.get(shard).map_or(0, |s| s.rows.read().len())
+        self.rows.read().len()
     }
 
     /// Whether `query` currently has a cached (possibly stale-prefix)
     /// row. Read-only: does not refresh LRU recency or count a lookup.
     pub fn has_cached_row(&self, query: &str) -> bool {
-        self.shard_of(query).rows.read().contains_key(query)
+        self.rows.read().contains_key(query)
     }
 
     /// Drop every cached score row *and* every partial row (profiles
     /// and indexes stay). Benches use this to measure a genuinely cold
     /// fill.
     pub fn clear_rows(&self) {
-        for shard in self.shards.iter() {
-            shard.rows.write().clear();
-            shard.partial_rows.write().clear();
-        }
+        self.rows.write().clear();
+        self.partial_rows.write().clear();
     }
 
     /// A consistent snapshot of every work counter.
     ///
-    /// Each shard's counter fragment is read under that shard's
-    /// exclusive row lock, and all row-path counter updates happen while
-    /// the owning shard's lock is held (shared for hits, exclusive for
-    /// sweeps) — so no fragment can observe a lookup whose hit/miss
-    /// classification is still in flight, and the merged snapshot keeps
+    /// Read under the exclusive row lock, and all row-path counter
+    /// updates happen while the row lock is held (shared for hits,
+    /// exclusive for sweeps) — so the snapshot cannot observe a lookup
+    /// whose hit/miss classification is still in flight, and it keeps
     /// `row_hits + row_misses == row_lookups` even while parallel
     /// matchers are filling rows. Tests should assert on this snapshot
     /// rather than on individual counter loads.
     pub fn counters(&self) -> StoreCounters {
-        let mut merged = StoreCounters {
-            profile_builds: self.profile_builds.load(Relaxed),
-            pair_evals: self.pair_evals.load(Relaxed),
-            schema_removes: self.schema_removes.load(Relaxed),
-            schema_replaces: self.schema_replaces.load(Relaxed),
-            ..StoreCounters::default()
-        };
-        for shard in self.shards.iter() {
-            let _guard = shard.rows.write();
-            merged = merged.merge(shard.counters.snapshot());
-        }
-        merged
+        let _guard = self.rows.write();
+        self.counters.snapshot()
     }
 
     /// One consolidated health/degradation view: the installed sink's
@@ -1641,47 +1479,42 @@ impl LabelStore {
     }
 
     /// Export one merged observability report: a snapshot of the global
-    /// `smx-obs` metrics registry with this store's [`StoreCounters`],
-    /// cache occupancy, salvage events, and the installed sink's
-    /// [`SinkHealth`] grafted in as gauges. This is the
-    /// `MetricsSnapshot` examples and `smx-bench` render — one report
-    /// covering both the tracing-side instruments and the store's own
-    /// counters.
+    /// `smx-obs` metrics registry with this store's state grafted in.
+    /// The monotonic [`StoreCounters`] fields become counters named
+    /// `store.counters.<field>`, so merging two stores' reports sums
+    /// them; point-in-time values — cache occupancy, live schemas,
+    /// orphaned labels, salvage events, and the installed sink's
+    /// [`SinkHealth`] — stay gauges. This is the `MetricsSnapshot`
+    /// examples and `smx-bench` render — one report covering both the
+    /// tracing-side instruments and the store's own counters.
     pub fn publish_metrics(&self) -> smx_obs::MetricsSnapshot {
         let health = self.health();
         let mut snapshot = smx_obs::registry().snapshot();
         let c = health.counters;
-        snapshot.set_gauge("store.profile_builds", c.profile_builds as f64);
-        snapshot.set_gauge("store.pair_evals", c.pair_evals as f64);
-        snapshot.set_gauge("store.row_lookups", c.row_lookups as f64);
-        snapshot.set_gauge("store.row_hits", c.row_hits as f64);
-        snapshot.set_gauge("store.row_misses", c.row_misses as f64);
-        snapshot.set_gauge("store.row_evictions_total", c.row_evictions as f64);
-        snapshot.set_gauge("store.row_spills_total", c.row_spills as f64);
-        snapshot.set_gauge(
-            "store.row_spill_recoveries_total",
-            c.row_spill_recoveries as f64,
-        );
-        snapshot.set_gauge(
-            "store.row_spill_failures_total",
-            c.row_spill_failures as f64,
-        );
-        snapshot.set_gauge("store.candidate_hits", c.candidate_hits as f64);
-        snapshot.set_gauge("store.candidate_pruned", c.candidate_pruned as f64);
-        snapshot.set_gauge("store.partial_row_fills", c.partial_row_fills as f64);
+        for (name, value) in [
+            ("profile_builds", c.profile_builds),
+            ("pair_evals", c.pair_evals),
+            ("row_lookups", c.row_lookups),
+            ("row_hits", c.row_hits),
+            ("row_misses", c.row_misses),
+            ("row_evictions", c.row_evictions),
+            ("row_spills", c.row_spills),
+            ("row_spill_recoveries", c.row_spill_recoveries),
+            ("row_spill_failures", c.row_spill_failures),
+            ("candidate_hits", c.candidate_hits),
+            ("candidate_pruned", c.candidate_pruned),
+            ("partial_row_fills", c.partial_row_fills),
+            ("schema_removes", c.schema_removes),
+            ("schema_replaces", c.schema_replaces),
+        ] {
+            snapshot
+                .counters
+                .insert(format!("store.counters.{name}"), value);
+        }
         snapshot.set_gauge("store.cached_rows", health.cached_rows as f64);
         snapshot.set_gauge("store.salvage_events", health.salvage_events as f64);
-        snapshot.set_gauge("store.schema_removes", c.schema_removes as f64);
-        snapshot.set_gauge("store.schema_replaces", c.schema_replaces as f64);
         snapshot.set_gauge("store.live_schemas", self.live_schema_count() as f64);
         snapshot.set_gauge("store.orphaned_labels", self.orphaned_labels() as f64);
-        snapshot.set_gauge("store.shards", self.shards.len() as f64);
-        for (si, shard) in self.shards.iter().enumerate() {
-            snapshot.set_gauge(
-                &format!("store.shard.{si}.cached_rows"),
-                shard.rows.read().len() as f64,
-            );
-        }
         if let Some(sink) = health.sink {
             snapshot.set_gauge("store.sink.poisoned", u64::from(sink.poisoned) as f64);
             snapshot.set_gauge("store.sink.degraded", u64::from(sink.degraded) as f64);
@@ -1708,34 +1541,30 @@ impl LabelStore {
     }
 
     /// Snapshot the store's hot state — interned labels, per-schema
-    /// column maps, token index, cached score rows in LRU order, and the
-    /// cache configuration — as plain data for `smx-persist` to encode.
+    /// column maps, filter lanes, tombstones, cached score rows in LRU
+    /// order, and the cache configuration — as plain data for
+    /// `smx-persist` to encode.
     ///
     /// Taken under the exclusive row lock, so the row image is
     /// internally consistent even while concurrent matchers fill rows.
     /// Work counters are *not* part of the image: they describe the
     /// process, not the repository.
     pub fn export_state(&self) -> StoreState {
-        // Snapshot (stamp, query, Arc) under the exclusive locks (all
-        // shards, index order — the store's one multi-lock order) —
-        // cheap — then sort and materialise the row copies after
-        // releasing them, so a large export doesn't stall concurrent
-        // matchers.
-        let mut rows: Vec<(u64, String, Arc<Vec<f64>>)> = {
-            let guards: Vec<_> = self.shards.iter().map(|s| s.rows.write()).collect();
-            guards
-                .iter()
-                .flat_map(|cache| {
-                    cache.iter().map(|(query, entry)| {
-                        (
-                            entry.last_used.load(Relaxed),
-                            query.clone(),
-                            Arc::clone(&entry.row),
-                        )
-                    })
-                })
-                .collect()
-        };
+        // Snapshot (stamp, query, Arc) under the exclusive lock — cheap
+        // — then sort and materialise the row copies after releasing
+        // it, so a large export doesn't stall concurrent matchers.
+        let mut rows: Vec<(u64, String, Arc<Vec<f64>>)> = self
+            .rows
+            .write()
+            .iter()
+            .map(|(query, entry)| {
+                (
+                    entry.last_used.load(Relaxed),
+                    query.clone(),
+                    Arc::clone(&entry.row),
+                )
+            })
+            .collect();
         // Oldest first (ties broken by query text so exports are
         // deterministic), so import can re-stamp in order.
         rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
@@ -1748,18 +1577,12 @@ impl LabelStore {
                 .iter()
                 .map(|labels| labels.iter().map(|id| id.0).collect())
                 .collect(),
-            postings: self
-                .index
-                .postings()
-                .map(|(token, elements)| (token.to_owned(), elements.to_vec()))
-                .collect(),
             rows: rows
                 .into_iter()
                 .map(|(_, query, row)| (query, (*row).clone()))
                 .collect(),
             max_cached_rows: self.config().max_cached_rows,
             batch_threads: self.batch_threads,
-            shards: self.config_shards,
             filters: Some(self.filters.export()),
             tombstones: Some(
                 self.removed
@@ -1840,53 +1663,50 @@ impl LabelStore {
         }
         let cap = state.max_cached_rows.unwrap_or(UNBOUNDED);
         let keep_from = state.rows.len().saturating_sub(cap);
-        let shard_count = resolve_shard_count(state.shards);
-        let shards: Box<[Shard]> = (0..shard_count).map(|_| Shard::new()).collect();
-        let mut clock = 0u64;
-        for (query, row) in state.rows.into_iter().skip(keep_from) {
-            clock += 1;
-            let h = fnv_extend(FNV_OFFSET, query.as_bytes());
-            shards[h as usize & (shard_count - 1)].rows.write().insert(
-                query,
-                CachedRow {
-                    row: Arc::new(row),
-                    last_used: AtomicU64::new(clock),
-                },
-            );
-        }
+        let kept = (state.rows.len() - keep_from) as u64;
+        let rows: HashMap<String, CachedRow> = state
+            .rows
+            .into_iter()
+            .skip(keep_from)
+            .zip(1..)
+            .map(|((query, row), stamp)| {
+                let row = Arc::new(row);
+                let last_used = AtomicU64::new(stamp);
+                (query, CachedRow { row, last_used })
+            })
+            .collect();
         LabelStore {
-            profile_builds: AtomicU64::new(profiles.len() as u64),
+            counters: AtomicCounters::from(StoreCounters {
+                profile_builds: profiles.len() as u64,
+                ..StoreCounters::default()
+            }),
+            clock: AtomicU64::new(kept),
             interner,
             profiles,
             prefix_hashes,
             schema_labels,
             label_schemas,
-            index: TokenIndex::from_postings(state.postings),
             filters,
             removed,
             generations,
-            shards,
-            config_shards: state.shards,
-            clock: AtomicU64::new(clock),
+            rows: RwLock::new(rows),
+            partial_rows: RwLock::new(HashMap::new()),
             max_cached_rows: AtomicUsize::new(cap),
             batch_threads: state.batch_threads,
             sink: RwLock::new(None),
-            pair_evals: AtomicU64::new(0),
-            schema_removes: AtomicU64::new(0),
-            schema_replaces: AtomicU64::new(0),
             salvage_events: AtomicU64::new(0),
         }
     }
 
     /// Total label profiles ever built — the label-level work counter.
     pub fn profile_builds(&self) -> u64 {
-        self.profile_builds.load(Relaxed)
+        self.counters.profile_builds.load(Relaxed)
     }
 
     /// Total (query, label) kernel evaluations ever run — the pair-level
     /// work counter the store-reuse tests assert on.
     pub fn pair_evals(&self) -> u64 {
-        self.pair_evals.load(Relaxed)
+        self.counters.pair_evals.load(Relaxed)
     }
 }
 
@@ -1898,43 +1718,30 @@ impl Default for LabelStore {
 
 impl Clone for LabelStore {
     fn clone(&self) -> Self {
-        // Hold every shard's exclusive lock (index order — the store's
-        // one multi-lock order) while snapshotting rows *and* counters:
-        // hit-path counter updates happen under the shared lock, so a
-        // read-lock clone could freeze `row_lookups` between a peer's
-        // paired increments and break the counters invariant.
-        let guards: Vec<_> = self.shards.iter().map(|s| s.rows.write()).collect();
-        let shards: Box<[Shard]> = self
-            .shards
-            .iter()
-            .zip(&guards)
-            .map(|(shard, rows)| Shard {
-                rows: RwLock::new((**rows).clone()),
-                partial_rows: RwLock::new(shard.partial_rows.read().clone()),
-                counters: shard.counters.detach(),
-            })
-            .collect();
-        drop(guards);
+        // Snapshot rows *and* counters under the exclusive lock: hit-path
+        // counter updates happen under the shared lock, so a read-lock
+        // clone could freeze `row_lookups` between a peer's paired
+        // increments and break the counters invariant.
+        let (rows, counters) = {
+            let rows = self.rows.write();
+            (rows.clone(), AtomicCounters::from(self.counters.snapshot()))
+        };
         LabelStore {
             interner: self.interner.clone(),
             profiles: self.profiles.clone(),
             prefix_hashes: self.prefix_hashes.clone(),
             schema_labels: self.schema_labels.clone(),
             label_schemas: self.label_schemas.clone(),
-            index: self.index.clone(),
             filters: self.filters.clone(),
             removed: self.removed.clone(),
             generations: self.generations.clone(),
-            shards,
-            config_shards: self.config_shards,
+            rows: RwLock::new(rows),
+            partial_rows: RwLock::new(self.partial_rows.read().clone()),
             clock: AtomicU64::new(self.clock.load(Relaxed)),
             max_cached_rows: AtomicUsize::new(self.max_cached_rows.load(Relaxed)),
             batch_threads: self.batch_threads,
             sink: RwLock::new(self.sink.read().clone()),
-            profile_builds: AtomicU64::new(self.profile_builds.load(Relaxed)),
-            pair_evals: AtomicU64::new(self.pair_evals.load(Relaxed)),
-            schema_removes: AtomicU64::new(self.schema_removes.load(Relaxed)),
-            schema_replaces: AtomicU64::new(self.schema_replaces.load(Relaxed)),
+            counters,
             salvage_events: AtomicU64::new(self.salvage_events.load(Relaxed)),
         }
     }
@@ -1947,15 +1754,7 @@ impl std::fmt::Debug for LabelStore {
             .field("schemas", &self.schema_labels.len())
             .field("live_schemas", &self.live_schema_count())
             .field("cached_rows", &self.cached_rows())
-            .field(
-                "partial_rows",
-                &self
-                    .shards
-                    .iter()
-                    .map(|s| s.partial_rows.read().len())
-                    .sum::<usize>(),
-            )
-            .field("shards", &self.shards.len())
+            .field("partial_rows", &self.partial_rows.read().len())
             .field("config", &self.config())
             .field("kernel_variant", &KernelVariant::active())
             .field("counters", &self.counters())
@@ -2121,7 +1920,6 @@ mod tests {
             let mut r = Repository::with_store_config(StoreConfig {
                 max_cached_rows: None,
                 batch_threads: threads,
-                shards: 0,
             });
             let mut b = SchemaBuilder::new("wide").root("container");
             for i in 0..300 {
@@ -2257,6 +2055,28 @@ mod tests {
         store.similarity_upper_bounds(&QueryFilter::new("title"), &mut out);
         let title = store.interner().get("title").expect("interned");
         assert_eq!(out[title.index()], 1.0);
+    }
+
+    #[test]
+    fn merged_published_metrics_sum_store_counters() {
+        let (a, b) = (repo(), repo());
+        a.store().score_row("title");
+        a.store().score_row("title");
+        b.store().score_row("orderNo");
+        let mut merged = a.store().publish_metrics();
+        merged.merge(&b.store().publish_metrics());
+        let (ca, cb) = (a.store().counters(), b.store().counters());
+        assert_eq!(
+            merged.counters["store.counters.row_lookups"],
+            ca.row_lookups + cb.row_lookups
+        );
+        assert_eq!(
+            merged.counters["store.counters.pair_evals"],
+            ca.pair_evals + cb.pair_evals
+        );
+        // Point-in-time values stay gauges: the merge keeps the larger.
+        assert_eq!(merged.gauges["store.cached_rows"], 1.0);
+        assert!(!merged.gauges.contains_key("store.row_lookups"));
     }
 
     #[test]
@@ -2471,10 +2291,6 @@ mod tests {
         for sid in [SchemaId(0), SchemaId(1)] {
             assert_eq!(imported.schema_labels(sid), store.schema_labels(sid));
         }
-        assert_eq!(
-            imported.token_index().postings().count(),
-            store.token_index().postings().count()
-        );
         // Restored rows serve bitwise-identically with zero pair evals.
         for query in ["orderTitle", "title"] {
             let a = store.score_row(query);
@@ -2521,91 +2337,20 @@ mod tests {
         assert_eq!(c.pair_evals, 2 * store.len() as u64);
     }
 
-    /// A wider repository so queries actually spread across shards.
-    fn wide_repo(config: StoreConfig) -> (Repository, Vec<String>) {
-        let mut r = Repository::with_store_config(config);
+    #[test]
+    fn lru_eviction_is_globally_exact_across_shards() {
+        // The bound is a global LRU over every cached row: with capacity
+        // 2, the least-recently-used row is the one evicted, whatever
+        // order the rows were filled in.
+        let mut r = Repository::with_store_config(StoreConfig {
+            max_cached_rows: Some(2),
+            batch_threads: 1,
+        });
         let mut b = SchemaBuilder::new("wide").root("container");
         for i in 0..24 {
             b = b.leaf(format!("field{i}Value"), PrimitiveType::String);
         }
         r.add(b.build());
-        let queries: Vec<String> = (0..16).map(|i| format!("query{i}Label")).collect();
-        (r, queries)
-    }
-
-    #[test]
-    fn shard_count_resolves_to_power_of_two() {
-        for (configured, expect) in [(1, 1), (2, 2), (3, 4), (5, 8), (16, 16), (64, 64)] {
-            let store = LabelStore::with_config(StoreConfig {
-                max_cached_rows: None,
-                batch_threads: 1,
-                shards: configured,
-            });
-            assert_eq!(store.shard_count(), expect, "configured {configured}");
-            // The *configured* value round-trips; only the live layout
-            // is resolved.
-            assert_eq!(store.config().shards, configured);
-        }
-        let auto = LabelStore::with_config(StoreConfig::default());
-        assert!(auto.shard_count().is_power_of_two());
-        assert!(auto.shard_count() <= MAX_SHARDS);
-        // Oversized requests clamp before rounding.
-        let huge = LabelStore::with_config(StoreConfig {
-            max_cached_rows: None,
-            batch_threads: 1,
-            shards: 1000,
-        });
-        assert_eq!(huge.shard_count(), MAX_SHARDS);
-    }
-
-    #[test]
-    fn sharded_store_matches_single_shard_bitwise_with_identical_counters() {
-        let config = |shards: usize| StoreConfig {
-            max_cached_rows: None,
-            batch_threads: 1,
-            shards,
-        };
-        let (single, queries) = wide_repo(config(1));
-        let (sharded, _) = wide_repo(config(8));
-        assert_eq!(sharded.store().shard_count(), 8);
-        let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
-        // Batched fill, then a full re-read (all hits), on both stores.
-        let a = single.store().score_rows(&refs);
-        let b = sharded.store().score_rows(&refs);
-        for (ra, rb) in a.iter().zip(&b) {
-            assert_eq!(ra.len(), rb.len());
-            for (x, y) in ra.iter().zip(rb.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        let _ = single.store().score_rows(&refs);
-        let _ = sharded.store().score_rows(&refs);
-        // Rows spread over several shards, yet the merged counters are
-        // identical to the single-lock store's.
-        let populated = (0..sharded.store().shard_count())
-            .filter(|&s| sharded.store().shard_cached_rows(s) > 0)
-            .count();
-        assert!(populated > 1, "16 queries landed in one shard");
-        let (ca, cb) = (single.store().counters(), sharded.store().counters());
-        assert_eq!(ca, cb);
-        assert_eq!(cb.row_lookups, 32);
-        assert_eq!(cb.row_misses, 16);
-        assert_eq!(cb.row_hits, 16);
-        assert_eq!(cb.row_hits + cb.row_misses, cb.row_lookups);
-        assert_eq!(single.store().cached_rows(), sharded.store().cached_rows());
-    }
-
-    #[test]
-    fn lru_eviction_is_globally_exact_across_shards() {
-        // The bound is a *global* LRU: with 8 shards and capacity 2,
-        // the globally least-recently-used row is evicted no matter
-        // which shard it lives in — same observable behaviour as the
-        // single-shard store.
-        let (r, _) = wide_repo(StoreConfig {
-            max_cached_rows: Some(2),
-            batch_threads: 1,
-            shards: 8,
-        });
         let store = r.store();
         let _ = store.score_row("alphaField");
         let _ = store.score_row("betaField");
@@ -2623,20 +2368,20 @@ mod tests {
         let mut r = repo();
         let sid = SchemaId(0);
         assert_eq!(r.live_schemas(), 2);
-        assert!(!r.token_index().lookup("book").is_empty());
         assert!(r.remove_schema(sid));
         assert!(!r.remove_schema(sid), "double remove must report false");
         assert!(r.is_removed(sid));
         assert_eq!(r.live_schemas(), 1);
         assert_eq!(r.len(), 2, "slot stays — ids remain stable");
         assert_eq!(r.schema(sid).len(), 0, "tombstone is an empty schema");
-        // "book"/"bib" only appeared in schema 0 — their postings are
-        // gone; "title" survives via schema 1.
-        assert!(r.token_index().lookup("book").is_empty());
-        assert!(r.token_index().lookup("bib").is_empty());
-        assert_eq!(r.token_index().lookup("title").len(), 1);
         let store = r.store();
         assert!(store.schema_labels(sid).is_empty());
+        // "book"/"bib" only appeared in schema 0 — their postings are
+        // gone; "title" survives via schema 1.
+        let schemas_with = |label| store.schemas_with_label(store.interner().get(label).unwrap());
+        assert!(schemas_with("book").is_empty());
+        assert!(schemas_with("bib").is_empty());
+        assert_eq!(schemas_with("title"), &[SchemaId(1)]);
         // Labels are append-only: "bib" and "book" are orphaned, not
         // dropped — cached rows keep their exact width.
         assert_eq!(store.len(), 4);
@@ -2671,14 +2416,12 @@ mod tests {
         assert!(!r.is_removed(sid));
         assert_eq!(r.live_schemas(), 2);
         assert_eq!(r.schema(sid).name(), "shop2");
-        // New tokens indexed, old ones gone.
-        assert_eq!(r.token_index().lookup("warehouse").len(), 1);
-        assert!(r
-            .token_index()
-            .lookup("shop")
-            .iter()
-            .all(|e| e.schema != sid));
         let store = r.store();
+        // The slot is spliced into the new labels' postings and out of
+        // the old ones'.
+        let schemas_with = |label| store.schemas_with_label(store.interner().get(label).unwrap());
+        assert_eq!(schemas_with("warehouse"), &[sid]);
+        assert!(!schemas_with("shop").contains(&sid));
         // remove + reingest = two generation bumps.
         assert_eq!(store.schema_generation(sid), 2);
         assert_eq!(store.counters().schema_replaces, 1);
@@ -2717,22 +2460,20 @@ mod tests {
                 fresh.add(mutated.schema(sid).clone());
             }
         }
-        // Token postings identical to the rebuild (sorted insert = the
-        // incremental-equals-rebuild contract under mutation)...
-        for tok in fresh.token_index().tokens() {
+        // Label→schema postings identical to the rebuild (sorted insert =
+        // the incremental-equals-rebuild contract under mutation)...
+        let (ms, fs) = (mutated.store(), fresh.store());
+        for fid in 0..fs.len() {
+            let label = fs.interner().resolve(LabelId(fid as u32));
+            let mid = ms.interner().get(label).expect("label in mutated store");
             assert_eq!(
-                mutated.token_index().lookup(tok),
-                fresh.token_index().lookup(tok),
-                "{tok}"
+                ms.schemas_with_label(mid),
+                fs.schemas_with_label(LabelId(fid as u32)),
+                "{label}"
             );
         }
-        assert_eq!(
-            mutated.token_index().vocabulary_size(),
-            fresh.token_index().vocabulary_size()
-        );
         // ...column maps resolve to identical label text...
         for sid in mutated.schema_ids() {
-            let (ms, fs) = (mutated.store(), fresh.store());
             let names = |store: &LabelStore, sid| {
                 store
                     .schema_labels(sid)

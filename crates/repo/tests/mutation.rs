@@ -1,4 +1,4 @@
-//! Mutation edge cases for the sharded, mutable store: remove-then-readd
+//! Mutation edge cases for the mutable store: remove-then-readd
 //! with identical labels, replace under a bounded store with spilled
 //! rows, removal racing a concurrent batch sweep on a shared store, and
 //! a property test proving arbitrary mutation histories stay equivalent
@@ -34,8 +34,8 @@ fn assert_row_is_oracle(repo: &Repository, query: &str, row: &[f64]) {
 }
 
 /// Rebuild `repo`'s final schemas (tombstones as empty placeholders)
-/// into a fresh repository and assert the token index and live-schema
-/// accounting agree exactly.
+/// into a fresh repository and assert the label→schema postings,
+/// live-schema accounting, and column maps agree exactly.
 fn assert_equals_fresh_rebuild(repo: &Repository) {
     let mut fresh = Repository::new();
     for sid in repo.schema_ids() {
@@ -45,16 +45,19 @@ fn assert_equals_fresh_rebuild(repo: &Repository) {
             fresh.add(repo.schema(sid).clone());
         }
     }
-    assert_eq!(
-        repo.token_index().vocabulary_size(),
-        fresh.token_index().vocabulary_size(),
-        "vocabulary diverged from rebuild"
-    );
-    for tok in fresh.token_index().tokens() {
+    // Every label the rebuild holds lists the same schemas; labels only
+    // the mutated store holds are orphans no live schema references.
+    let (store, rebuilt) = (repo.store(), fresh.store());
+    for id in 0..store.len() {
+        let label = store.interner().resolve(LabelId(id as u32));
+        let expected = rebuilt
+            .interner()
+            .get(label)
+            .map_or(&[][..], |fid| rebuilt.schemas_with_label(fid));
         assert_eq!(
-            repo.token_index().lookup(tok),
-            fresh.token_index().lookup(tok),
-            "postings for {tok:?} diverged from rebuild"
+            store.schemas_with_label(LabelId(id as u32)),
+            expected,
+            "postings for {label:?} diverged from rebuild"
         );
     }
     // The rebuild has placeholders, not tombstones — compare liveness
@@ -129,7 +132,6 @@ impl EvictionSink for MemorySink {
 #[test]
 fn replace_under_bounded_store_recovers_spilled_rows() {
     let mut repo = small_repository(StoreConfig {
-        shards: 4,
         max_cached_rows: Some(1),
         batch_threads: 0,
     });
@@ -201,7 +203,6 @@ proptest! {
     #[test]
     fn mutation_histories_equal_fresh_rebuild(operations in ops(), cap in 1..4usize) {
         let mut repo = small_repository(StoreConfig {
-            shards: 8,
             max_cached_rows: Some(cap),
             batch_threads: 0,
         });
@@ -240,7 +241,7 @@ proptest! {
     /// Removal racing a concurrent batch sweep: reader threads sweep a
     /// clone sharing the owner's store `Arc` while the owner mutates
     /// (`Arc::make_mut` detaches the owner's store under the readers —
-    /// the all-shard-locking Clone path racing live shard sweeps).
+    /// the exclusive-lock Clone path racing live sweeps).
     /// Readers must see their own frozen lineage bitwise-intact, and
     /// the owner must still equal a fresh rebuild afterwards.
     #[test]
@@ -249,7 +250,6 @@ proptest! {
         queries in proptest::collection::vec(pool_indices(), 4..16),
     ) {
         let mut owner = small_repository(StoreConfig {
-            shards: 8,
             max_cached_rows: Some(2),
             batch_threads: 0,
         });
@@ -274,7 +274,7 @@ proptest! {
                 });
             }
             // Mutate while the sweeps run: the first mutation detaches
-            // the owner's store via the all-shard-locking Clone.
+            // the owner's store via Clone.
             for (n, &i) in removals.iter().enumerate() {
                 let sid = SchemaId(((i + n) % owner.len()) as u32);
                 owner.remove_schema(sid);

@@ -57,7 +57,6 @@ proptest! {
     #[test]
     fn lru_invariants_hold_under_any_interleaving(operations in ops(), cap0 in 1..5usize) {
         let mut repo = small_repository(StoreConfig {
-            shards: 0,
             max_cached_rows: Some(cap0),
             batch_threads: 0,
         });
@@ -102,7 +101,7 @@ proptest! {
         queries in proptest::collection::vec(pool_indices(), 1..24),
         cap in 1..4usize,
     ) {
-        let bounded = small_repository(StoreConfig { shards: 0, max_cached_rows: Some(cap), batch_threads: 0 });
+        let bounded = small_repository(StoreConfig { max_cached_rows: Some(cap), batch_threads: 0 });
         let unbounded = small_repository(StoreConfig::default());
         for &i in &queries {
             let query = LABEL_POOL[i];

@@ -33,7 +33,6 @@ fn reset_tracing() {
 fn concurrent_sweeps_keep_registry_and_store_counters_in_lockstep() {
     let _guard = guard();
     let repo = small_repository(StoreConfig {
-        shards: 0,
         max_cached_rows: Some(2),
         batch_threads: 0,
     });
@@ -90,12 +89,11 @@ fn concurrent_sweeps_keep_registry_and_store_counters_in_lockstep() {
 /// computed (threaded through the core's per-call stats, not read back
 /// from the shared counters), so summing the attrs over every span must
 /// reproduce the store's counter deltas exactly — even with concurrent
-/// sweeps interleaving on a bounded sharded cache.
+/// sweeps interleaving on a bounded cache.
 #[test]
 fn concurrent_span_attrs_sum_exactly_to_counter_deltas() {
     let _guard = guard();
     let repo = small_repository(StoreConfig {
-        shards: 0,
         max_cached_rows: Some(2),
         batch_threads: 0,
     });
@@ -154,7 +152,6 @@ fn concurrent_span_attrs_sum_exactly_to_counter_deltas() {
 fn instrumented_wrapper_matches_baseline_bitwise() {
     let _guard = guard();
     let config = StoreConfig {
-        shards: 0,
         max_cached_rows: Some(3),
         batch_threads: 0,
     };

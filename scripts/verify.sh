@@ -55,13 +55,13 @@
 #      plus an examples/observability smoke run under SMX_TRACE=1
 #      (exits non-zero unless the span tree covers candidate
 #      generation, the restricted fill, and the refine stage).
-#  12. sharded-store mutation suites, likewise named: the mutation
+#  12. store mutation suites, likewise named: the mutation
 #      edge-case + property suite (remove-then-readd, replace under a
 #      bounded store with spilled rows, removal racing concurrent batch
 #      sweeps, arbitrary mutation histories vs fresh rebuilds) and the
-#      mutation differential gate (a sharded, bounded, mutated
-#      repository gives every matcher answers bitwise identical to a
-#      fresh unsharded rebuild).
+#      mutation differential gate (a bounded, mutated repository
+#      gives every matcher answers bitwise identical to a fresh,
+#      unbounded rebuild).
 #  13. bench-regression guard (scripts/bench_guard.sh): a fresh
 #      scripts/bench_matching.sh run compared against the committed
 #      BENCH_matching.json with a +25% budget.
@@ -154,7 +154,7 @@ named_suites -p smx-obs --test metrics_properties
 named_suites -p smx-repo --test trace_concurrency
 SMX_TRACE=1 cargo run --release --example observability >/dev/null
 
-echo "== [12/13] sharded-store mutation suites (edge cases + properties, differential gate)"
+echo "== [12/13] store mutation suites (edge cases + properties, differential gate)"
 named_suites -p smx-repo --test mutation
 named_suites -p smx-match --test mutation_differential
 
