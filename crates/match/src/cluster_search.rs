@@ -9,6 +9,11 @@
 //! disappear at once: the **step-shaped ratio curve** of Figure 10's
 //! S2-two.
 //!
+//! The clustering depends only on the repository, so it is cached there
+//! ([`Repository::clustering`](smx_repo::Repository::clustering)) and
+//! rebuilt lazily on the first query after a mutation: per query this
+//! matcher only ranks clusters and searches.
+//!
 //! Within a fragment the shared search kernel walks depth-first over the
 //! cover's nodes in ascending order, pruning with S1's admissible bound.
 
@@ -18,7 +23,7 @@ use crate::objective::ObjectiveFunction;
 use crate::problem::MatchProblem;
 use crate::search::{Policy, Search};
 use smx_eval::AnswerSet;
-use smx_repo::{fragments_for_clusters, greedy_clustering, query_features, Fragment};
+use smx_repo::{fragments_for_clusters, query_features, Fragment};
 
 /// Cluster-restricted matcher.
 #[derive(Debug, Clone)]
@@ -55,8 +60,10 @@ impl Matcher for ClusterMatcher {
     fn run(&self, problem: &MatchProblem, delta_max: f64, registry: &MappingRegistry) -> AnswerSet {
         let repo = problem.repository();
         let personal = problem.personal();
-        // 1. Cluster the repository and rank clusters against the query.
-        let clustering = greedy_clustering(repo, self.cluster_threshold);
+        // 1. Fetch the repository's cached clustering (built here only on
+        //    the first query after a mutation) and rank its clusters
+        //    against the query.
+        let clustering = repo.clustering(self.cluster_threshold);
         let names: Vec<&str> = personal
             .node_ids()
             .map(|id| personal.node(id).name.as_str())

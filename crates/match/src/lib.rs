@@ -140,6 +140,7 @@ pub mod problem;
 pub mod sampler;
 mod search;
 pub mod space;
+#[cfg(feature = "test-support")]
 pub mod test_support;
 pub mod topk;
 

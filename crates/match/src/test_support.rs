@@ -9,9 +9,10 @@
 //! a new matching system — the composable [`pipeline`](crate::pipeline)
 //! was the seventh — is covered by all of them the day it lands.
 //!
-//! Everything here is plain library code (no `#[cfg(test)]`): the
-//! persistence crate's integration tests link against it as an ordinary
-//! dependency.
+//! The module is compiled only with the `test-support` feature, which
+//! this crate's integration tests and the persistence crate's test
+//! suites enable through their dev-dependencies; the library leaves it
+//! out by default.
 
 use crate::beam::BeamMatcher;
 use crate::brute_force::BruteForceMatcher;

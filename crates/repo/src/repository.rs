@@ -6,8 +6,15 @@
 //! never rebuilds. The store sits behind an `Arc`, so cloning a
 //! repository (e.g. to construct a `MatchProblem`) shares all
 //! label-level preprocessing and every score row computed so far.
+//!
+//! The repository also caches its last [`greedy_clustering`]
+//! ([`Repository::clustering`]): it depends only on the schema list, so
+//! cluster-restricted matching pays for it once per mutation instead of
+//! once per query.
 
+use crate::cluster::{greedy_clustering, Clustering};
 use crate::store::{LabelStore, StoreConfig};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use smx_xml::{NodeId, Schema};
 use std::sync::Arc;
@@ -68,9 +75,24 @@ pub struct Repository {
     /// would desync from the schema list and break `schema_labels`
     /// indexing.
     store: Arc<LabelStore>,
+    /// One-slot cache of the last [`greedy_clustering`] of `schemas`,
+    /// keyed by the bits of its clamped threshold and built lazily by
+    /// [`clustering`](Self::clustering). Clones share the slot until one
+    /// of them mutates: every mutation empties a slot it owns alone, or
+    /// detaches onto a fresh one, so no clone ever reads a clustering
+    /// of another schema list.
+    ///
+    /// Serde note: like `store`, derived state — when real serde lands
+    /// this field also needs `#[serde(skip)]`; an empty slot is valid
+    /// and refills on the next lookup.
+    clustering: Arc<ClusterSlot>,
 }
 
-/// Equality is over the schemas; the store is derived state.
+/// The clustering cache's one slot: threshold bits and the clustering.
+type ClusterSlot = Mutex<Option<(u64, Arc<Clustering>)>>;
+
+/// Equality is over the schemas; the store and the clustering cache are
+/// derived state.
 impl PartialEq for Repository {
     fn eq(&self, other: &Self) -> bool {
         self.schemas == other.schemas
@@ -88,8 +110,8 @@ impl Repository {
     /// (`max_cached_rows`) or pinning the batched-sweep worker count.
     pub fn with_store_config(config: StoreConfig) -> Self {
         Repository {
-            schemas: Arc::new(Vec::new()),
             store: Arc::new(LabelStore::with_config(config)),
+            ..Repository::default()
         }
     }
 
@@ -100,7 +122,8 @@ impl Repository {
     ///
     /// The store must describe exactly these schemas (one column map per
     /// schema, labels resolving to the schemas' node names); the
-    /// snapshot decoder validates that before calling this.
+    /// snapshot decoder validates that before calling this. The
+    /// clustering cache is not part of a snapshot: it starts empty.
     pub fn from_parts(schemas: Vec<Schema>, store: LabelStore) -> Self {
         debug_assert!(
             schemas
@@ -112,6 +135,7 @@ impl Repository {
         Repository {
             schemas: Arc::new(schemas),
             store: Arc::new(store),
+            clustering: Arc::default(),
         }
     }
 
@@ -122,6 +146,7 @@ impl Repository {
         let id = SchemaId(self.schemas.len() as u32);
         Arc::make_mut(&mut self.store).add_schema(id, &schema);
         Arc::make_mut(&mut self.schemas).push(schema);
+        self.invalidate_clustering();
         id
     }
 
@@ -147,6 +172,7 @@ impl Repository {
         }
         Arc::make_mut(&mut self.schemas)[sid.index()] = Schema::new("");
         Arc::make_mut(&mut self.store).remove_schema(sid);
+        self.invalidate_clustering();
         true
     }
 
@@ -170,7 +196,36 @@ impl Repository {
         }
         Arc::make_mut(&mut self.store).reingest_schema(sid, &schema);
         Arc::make_mut(&mut self.schemas)[sid.index()] = schema;
+        self.invalidate_clustering();
         true
+    }
+
+    /// The [`greedy_clustering`] of this repository at `threshold`
+    /// (clamped to `[0, 1]`), built on the first lookup after a
+    /// mutation or a threshold change and shared by every clone until
+    /// one of them mutates. Concurrent lookups of a missing entry wait
+    /// for one build instead of each clustering the repository.
+    pub fn clustering(&self, threshold: f64) -> Arc<Clustering> {
+        let threshold = threshold.clamp(0.0, 1.0);
+        let key = threshold.to_bits();
+        let mut slot = self.clustering.lock();
+        match &*slot {
+            Some((k, cached)) if *k == key => Arc::clone(cached),
+            _ => {
+                let built = Arc::new(greedy_clustering(self, threshold));
+                *slot = Some((key, Arc::clone(&built)));
+                built
+            }
+        }
+    }
+
+    /// Forget the cached clustering: empty the slot in place when this
+    /// repository owns it alone, else detach from the clones sharing it.
+    fn invalidate_clustering(&mut self) {
+        match Arc::get_mut(&mut self.clustering) {
+            Some(slot) => *slot.get_mut() = None,
+            None => self.clustering = Arc::default(),
+        }
     }
 
     /// Whether `sid`'s slot is a tombstone left by
@@ -304,5 +359,96 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.total_elements(), 0);
         assert_eq!(r.elements().count(), 0);
+    }
+
+    const T: f64 = 0.55;
+
+    fn travel() -> Schema {
+        SchemaBuilder::new("trip")
+            .root("trip")
+            .child("flight", |b| b.leaf("departure", PrimitiveType::String))
+            .leaf("hotel", PrimitiveType::String)
+            .build()
+    }
+
+    #[test]
+    fn clustering_is_cached_and_equals_a_fresh_build() {
+        let r = repo();
+        let first = r.clustering(T);
+        assert!(Arc::ptr_eq(&first, &r.clustering(T)), "repeat lookup hits");
+        assert!(
+            Arc::ptr_eq(&first, &r.clone().clustering(T)),
+            "clones share"
+        );
+        assert_eq!(*first, greedy_clustering(&r, T));
+        // The threshold is clamped before it keys the slot.
+        assert!(Arc::ptr_eq(&r.clustering(2.0), &r.clustering(1.0)));
+        assert_eq!(*r.clustering(1.0), greedy_clustering(&r, 1.0));
+        assert_eq!(*r.clustering(T), *first);
+    }
+
+    #[test]
+    fn every_mutation_invalidates_the_cached_clustering() {
+        let mut r = repo();
+        let check = |r: &Repository, before: &Clustering, step: &str| {
+            let after = r.clustering(T);
+            assert_eq!(*after, greedy_clustering(r, T), "{step}");
+            assert_ne!(*after, *before, "{step} must change the clustering");
+        };
+        let before = r.clustering(T);
+        r.add(travel());
+        check(&r, &before, "add");
+        let before = r.clustering(T);
+        assert!(r.remove_schema(SchemaId(1)));
+        check(&r, &before, "remove_schema");
+        let before = r.clustering(T);
+        assert!(r.replace_schema(SchemaId(0), travel()));
+        check(&r, &before, "replace_schema");
+        let before = r.clustering(T);
+        assert!(r.replace_schema(SchemaId(1), repo().schema(SchemaId(1)).clone()));
+        check(&r, &before, "replace_schema of a tombstone");
+    }
+
+    #[test]
+    fn a_clone_taken_before_a_mutation_keeps_its_clustering() {
+        let mut r = repo();
+        let shared = r.clustering(T);
+        let old = r.clone();
+        r.add(travel());
+        assert!(Arc::ptr_eq(&old.clustering(T), &shared));
+        assert_eq!(*r.clustering(T), greedy_clustering(&r, T));
+        assert_ne!(*r.clustering(T), *shared);
+        assert_eq!(*old.clustering(T), greedy_clustering(&old, T));
+    }
+
+    #[test]
+    fn from_parts_starts_empty_and_rebuilds_the_same_clustering() {
+        let r = repo();
+        let cached = r.clustering(T);
+        let schemas = r.iter().map(|(_, s)| s.clone()).collect();
+        let rebuilt = Repository::from_parts(schemas, r.store().clone());
+        let again = rebuilt.clustering(T);
+        assert!(
+            !Arc::ptr_eq(&again, &cached),
+            "the cache is not carried over"
+        );
+        assert_eq!(*again, *cached);
+    }
+
+    #[test]
+    fn concurrent_lookups_on_shared_clones_agree() {
+        let mut r = repo();
+        r.add(travel());
+        let results: Vec<Arc<Clustering>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    let clone = r.clone();
+                    s.spawn(move || clone.clustering(T))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(Arc::ptr_eq(&results[0], &results[1]), "one shared build");
+        assert_eq!(*results[0], greedy_clustering(&r, T));
     }
 }

@@ -222,6 +222,10 @@ doc = {
             entries.get("pipeline/exhaustive_1024"),
             entries.get("pipeline/composed_1024"),
         ),
+        # The paper's premise: a non-exhaustive S2 costs less than the
+        # exhaustive S1 it approximates (both on the same warm problem).
+        "s1_over_cluster4": ratio(matrix, entries.get("matchers/s2_cluster4")),
+        "s1_over_top100": ratio(matrix, entries.get("matchers/s2_top100")),
         "trace_overhead_disabled": round(
             entries["trace_overhead/paired_baseline_over_disabled"], 3
         ) if entries.get("trace_overhead/paired_baseline_over_disabled") else None,
