@@ -10,9 +10,14 @@
 //!
 //! The frontier is the shared search kernel's beam policy: partials are
 //! parent-pointer records, each level keeps its `width` cheapest by
-//! partial selection, and a partial whose cost already exceeds the
-//! δ_max budget is dropped (it could only take a slot no partial within
-//! budget wanted, so the answers do not change).
+//! partial selection, and a child is never pooled when its cost plus the
+//! admissible completion bound (`suffix_min`, the row minima of the
+//! levels still to assign) already exceeds the δ_max budget. Those
+//! children are the costliest tail of their level, and every descendant
+//! of one exceeds the budget too, so they could only take slots no
+//! partial within budget wanted: the answers, their score bits and their
+//! interning order are those of a textbook beam with no bound
+//! (`tests/beam_reference.rs`), at a fraction of the expansions.
 
 use crate::mapping::MappingRegistry;
 use crate::matcher::Matcher;

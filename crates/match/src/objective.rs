@@ -98,12 +98,10 @@ impl ObjectiveFunction {
     /// with a small surcharge per skipped level, a flat high penalty
     /// otherwise (the mapping scrambles the hierarchy).
     pub fn edge_penalty(&self, schema: &Schema, tp: NodeId, tc: NodeId) -> f64 {
-        if schema.is_ancestor(tp, tc) {
-            let gap = schema.depth(tc) - schema.depth(tp);
-            (0.15 * (gap as f64 - 1.0)).min(0.45)
-        } else {
-            0.8
-        }
+        let gap = schema
+            .is_ancestor(tp, tc)
+            .then(|| schema.depth(tc) - schema.depth(tp));
+        structural_penalty(gap)
     }
 
     /// Δ of a full assignment: `targets[i]` is the image of the `i`-th
@@ -139,6 +137,18 @@ impl ObjectiveFunction {
             .node_ids()
             .map(|t| self.node_cost(personal, personal_node, schema, t))
             .fold(f64::INFINITY, f64::min)
+    }
+}
+
+/// The one edge-penalty formula: `gap` is the depth difference when the
+/// parent's target is a proper ancestor of the child's, `None` otherwise.
+/// [`ObjectiveFunction::edge_penalty`] and the search kernel's ancestry
+/// table both call it, so their penalties are bitwise equal.
+#[inline]
+pub(crate) fn structural_penalty(gap: Option<usize>) -> f64 {
+    match gap {
+        Some(gap) => (0.15 * (gap as f64 - 1.0)).min(0.45),
+        None => 0.8,
     }
 }
 

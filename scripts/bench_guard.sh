@@ -138,10 +138,10 @@ else:
     # baseline/disabled, so 1.0 means free and 0.95 caps the cost).
     # The s1_over_* floors are the paper's premise that a non-exhaustive
     # S2 is cheaper than the exhaustive S1 it approximates: at 1.0 the
-    # cluster-restricted (4 fragments) and top-k (k = 100) matchers must
-    # run no slower than S1 on the same warm problem. Beam (width 32) is
-    # left unfloored: it runs only ~1.1x faster than S1, within the
-    # run-to-run noise, so a floor at 1.0 would flake.
+    # cluster-restricted (4 fragments), top-k (k = 100) and beam (width
+    # 32) matchers must run no slower than S1 on the same warm problem.
+    # The beam clears its floor because it prunes with the same
+    # admissible suffix bound as S1's depth-first search.
     FLOORS = {
         "kernel_reference_over_active": 4.0,
         "kernel_scalar_over_active": 1.25,
@@ -153,6 +153,7 @@ else:
         "trace_overhead_disabled": 0.95,
         "s1_over_cluster4": 1.0,
         "s1_over_top100": 1.0,
+        "s1_over_beam32": 1.0,
     }
     c_rel = committed.get("relative")
     if not c_rel:

@@ -226,6 +226,7 @@ doc = {
         # exhaustive S1 it approximates (both on the same warm problem).
         "s1_over_cluster4": ratio(matrix, entries.get("matchers/s2_cluster4")),
         "s1_over_top100": ratio(matrix, entries.get("matchers/s2_top100")),
+        "s1_over_beam32": ratio(matrix, entries.get("matchers/s2_beam32")),
         "trace_overhead_disabled": round(
             entries["trace_overhead/paired_baseline_over_disabled"], 3
         ) if entries.get("trace_overhead/paired_baseline_over_disabled") else None,

@@ -44,14 +44,18 @@
 #      class — complete / restriction-monotone / global-budget — can
 #      promise under fixed budgets); plus the roster golden-answer suite
 #      (every search matcher's mappings, score bits and interning order
-#      pinned to recorded digests over seeded scenarios).
+#      pinned to recorded digests over seeded scenarios) and the beam
+#      reference suite (the bounded beam bitwise equal to a textbook
+#      beam with no bound over random scenarios, widths and thresholds).
 #  11. observability suites, likewise named: the trace-identity gate
 #      (tracing on/off changes no matcher's answers bitwise — clean
 #      runs, fault storms, and the JSON-lines sink), the metrics
 #      property suite (snapshot/histogram merges associative, trace
 #      lines checksum-valid and corruption-detecting), and the
 #      concurrent-sweep counter-consistency gate (site-gated registry
-#      metrics agree exactly with StoreCounters under racing sweeps);
+#      metrics agree exactly with StoreCounters under racing sweeps),
+#      and the search-counter suite (the kernel's search.* counters move
+#      only while tracing is on, and a beam run prunes by bound);
 #      plus an examples/observability smoke run under SMX_TRACE=1
 #      (exits non-zero unless the span tree covers candidate
 #      generation, the restricted fill, and the refine stage).
@@ -144,14 +148,15 @@ named_suites -p smx-persist --test crash_matrix --test chaos --test spill_compac
 echo "== [9/13] certified candidate-tier suites (differential, bound admissibility)"
 named_suites -p smx-match --test candidate_differential --test bound_admissibility
 
-echo "== [10/13] pipeline-algebra suites (differential, algebra, certified matrix, roster golden)"
+echo "== [10/13] pipeline-algebra suites (differential, algebra, certified matrix, roster golden, beam reference)"
 named_suites -p smx-match --test pipeline_differential --test pipeline_algebra --test certified_matrix
-named_suites -p smx-match --test roster_golden
+named_suites -p smx-match --test roster_golden --test beam_reference
 
-echo "== [11/13] observability suites (trace identity, metrics properties, counter consistency)"
+echo "== [11/13] observability suites (trace identity, metrics properties, counter consistency, search counters)"
 named_suites -p smx-persist --test trace_identity
 named_suites -p smx-obs --test metrics_properties
 named_suites -p smx-repo --test trace_concurrency
+named_suites -p smx-match --test search_counters
 SMX_TRACE=1 cargo run --release --example observability >/dev/null
 
 echo "== [12/13] store mutation suites (edge cases + properties, differential gate)"
